@@ -23,6 +23,7 @@ struct SweepResult {
   uint64_t cycles[4][4] = {};  // [warp index][thread index]
   uint64_t lsu_stalls[4][4] = {};
   uint32_t best_w = 0, best_t = 0;
+  vortex::HostWork work;  // simulator work over the grid (stdout only)
 };
 
 const uint32_t kSizes[4] = {2, 4, 8, 16};
@@ -67,6 +68,7 @@ std::vector<SweepResult> sweep_all(const std::vector<std::string>& bench_names,
         const suite::ExactCell& cell = cells[static_cast<size_t>(wi) * 4 + ti][b];
         result.cycles[wi][ti] = cell.ok ? cell.cycles : 0;
         result.lsu_stalls[wi][ti] = cell.lsu_stalls;
+        result.work.accumulate(cell.work);
         if (cell.ok && cell.cycles < best) {
           best = cell.cycles;
           result.best_w = kSizes[wi];
@@ -179,6 +181,15 @@ int main(int argc, char** argv) {
   printf("\nShape check (vecadd optimal at 4w4t, 8w8t >10%% worse;\n"
          "transpose optimal at 8w8t among the paper's configs): %s\n",
          (vec_shape && tr_shape) ? "HOLDS" : "VIOLATED");
+
+  // Simulator work (deterministic, but it depends on idle skipping, so it
+  // is printed only and kept out of the byte-compared JSON).
+  vortex::HostWork work = vec.work;
+  work.accumulate(tr.work);
+  printf("\nSimulator work over both grids: %llu cluster ticks, %llu core ticks "
+         "(%llu slept), %llu cycles skipped\n",
+         (unsigned long long)work.cluster_ticks, (unsigned long long)work.core_ticks,
+         (unsigned long long)work.core_ticks_slept, (unsigned long long)work.cycles_skipped);
 
   if (!json_path.empty()) {
     std::ofstream out(json_path);

@@ -7,9 +7,14 @@
 namespace fgpu::mem {
 
 Cache::Cache(CacheConfig config, MemPort* lower)
-    : config_(std::move(config)), lower_(lower), trace_name_(config_.name) {
+    : config_(std::move(config)),
+      set_mask_(config_.num_sets() - 1),
+      set_shift_(log2_floor(config_.num_sets())),
+      lower_(lower),
+      trace_name_(config_.name) {
   assert(is_pow2(config_.size_bytes) && "cache size must be a power of two");
   assert(config_.num_lines() % config_.ways == 0);
+  assert(is_pow2(config_.num_sets()));
   lines_.resize(config_.num_lines());
   set_conflicts_.resize(config_.num_sets(), 0);
   lower_->set_response_handler(
@@ -36,11 +41,10 @@ void Cache::reset() {
 }
 
 Cache::LineState* Cache::lookup(uint32_t line_addr) {
-  const uint32_t set = set_of(line_addr);
   const uint32_t tag = tag_of(line_addr);
+  LineState* set = &lines_[set_of(line_addr) * config_.ways];
   for (uint32_t w = 0; w < config_.ways; ++w) {
-    LineState& line = lines_[set * config_.ways + w];
-    if (line.valid && line.tag == tag) return &line;
+    if (set[w].valid && set[w].tag == tag) return &set[w];
   }
   return nullptr;
 }
@@ -61,7 +65,7 @@ void Cache::install(uint32_t line_addr) {
     ++set_conflicts_[set];
     if (victim->dirty) {
       ++stats_.writebacks;
-      const uint32_t victim_line = victim->tag * config_.num_sets() + set;
+      const uint32_t victim_line = (victim->tag << set_shift_) | set;
       writeback_queue_.push_back(
           MemRequest{.id = 0, .addr = victim_line << kLineShift, .is_write = true});
     }

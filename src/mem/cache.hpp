@@ -115,14 +115,17 @@ class Cache final : public MemPort {
     uint64_t ready_cycle;
   };
 
-  uint32_t set_of(uint32_t line_addr) const { return line_addr % config_.num_sets(); }
-  uint32_t tag_of(uint32_t line_addr) const { return line_addr / config_.num_sets(); }
+  // Sets are a power of two (power-of-two size, ways dividing the lines).
+  uint32_t set_of(uint32_t line_addr) const { return line_addr & set_mask_; }
+  uint32_t tag_of(uint32_t line_addr) const { return line_addr >> set_shift_; }
   LineState* lookup(uint32_t line_addr);
   void install(uint32_t line_addr);
   void on_lower_response(uint64_t id, bool was_write);
   void trace_counters(uint64_t cycle);
 
   CacheConfig config_;
+  uint32_t set_mask_;   // num_sets - 1
+  uint32_t set_shift_;  // log2(num_sets)
   MemPort* lower_;
   ResponseHandler handler_;
   std::vector<LineState> lines_;  // [set * ways + way]

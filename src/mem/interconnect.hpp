@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -21,6 +22,7 @@ class Interconnect {
       if (it == routes_.end()) return;
       const Route route = it->second;
       routes_.erase(it);
+      if (delivery_hook_) delivery_hook_(route.port);
       Endpoint* ep = endpoints_[route.port].get();
       if (ep->handler) ep->handler(route.original_id, was_write);
     });
@@ -32,6 +34,11 @@ class Interconnect {
     endpoints_.push_back(std::make_unique<Endpoint>(this, static_cast<uint32_t>(endpoints_.size())));
     return endpoints_.back().get();
   }
+
+  // Runs with the endpoint index (creation order) just before a response
+  // is delivered to that endpoint — the cluster's hook to wake a sleeping
+  // core before its L1 sees the response.
+  void set_delivery_hook(std::function<void(uint32_t)> hook) { delivery_hook_ = std::move(hook); }
 
   // Return to construction-time state (device-reuse contract): drops any
   // stale response routes and restarts the tag sequence. Only valid when no
@@ -69,6 +76,7 @@ class Interconnect {
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
   std::unordered_map<uint64_t, Route> routes_;
   uint64_t next_id_ = 1;
+  std::function<void(uint32_t)> delivery_hook_;
 };
 
 }  // namespace fgpu::mem

@@ -79,6 +79,8 @@ struct LaunchStats {
   vortex::PerfCounters perf;
   mem::MemStats l1d, l2, dram;
   uint64_t dram_bytes = 0;
+  // Simulator work of this launch (fgpu.host.v1 only; see HostWork).
+  vortex::HostWork work;
   // Per-PC issue/stall profile of this launch (enabled only when the
   // device's vortex::Config::profile is set).
   vortex::PcProfile profile;

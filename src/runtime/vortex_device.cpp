@@ -182,6 +182,7 @@ Result<LaunchStats> VortexDevice::launch(const std::string& kernel_name,
   out.l2 = stats->l2;
   out.dram = stats->dram;
   out.dram_bytes = stats->dram_bytes;
+  out.work = stats->work;
   if (config_.profile) out.profile = cluster_->collect_profile();
   if (config_.memprof) out.memprof = cluster_->collect_mem_profile();
   return out;

@@ -524,10 +524,13 @@ Benchmark make_lbm() {
   // Streaming pull with periodic wrap.
   std::vector<Val> f;
   for (int i = 0; i < 19; ++i) {
-    Val sx = kb.let_("sx" + std::to_string(i), (x - ex[i] + wi) % wi);
-    Val sy = kb.let_("sy" + std::to_string(i), (y - ey[i] + hi) % hi);
-    Val sz = kb.let_("sz" + std::to_string(i), (z - ez[i] + di) % di);
-    f.push_back(kb.let_("f" + std::to_string(i),
+    // Names built from an lvalue suffix: "f" + std::to_string(i) trips a
+    // GCC 12 -Wrestrict false positive once inlined.
+    const std::string n = std::to_string(i);
+    Val sx = kb.let_("sx" + n, (x - ex[i] + wi) % wi);
+    Val sy = kb.let_("sy" + n, (y - ey[i] + hi) % hi);
+    Val sz = kb.let_("sz" + n, (z - ez[i] + di) % di);
+    f.push_back(kb.let_("f" + n,
                         kb.load(fin, i * cells_i + (sz * hi + sy) * wi + sx)));
   }
   Val rho = kb.let_("rho", [&] {

@@ -299,6 +299,7 @@ std::vector<std::vector<ExactCell>> run_exact_grid(const std::vector<ExactPoint>
       cell.ok = run.ok();
       cell.cycles = run.total_cycles;
       cell.lsu_stalls = run.last.perf.stall_lsu;
+      cell.work = run.work;
       cell.fail = run.fail_reason;
     }
     if (options.pool != nullptr) options.pool->release(identity, std::move(set));

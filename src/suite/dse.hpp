@@ -155,6 +155,7 @@ struct ExactCell {
   bool ok = false;
   uint64_t cycles = 0;
   uint64_t lsu_stalls = 0;  // final-launch LSU stall cycles (Fig. 7 metric)
+  vortex::HostWork work;    // simulator work over all launches (host-only)
   std::string fail;
 };
 

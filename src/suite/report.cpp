@@ -7,6 +7,15 @@
 
 namespace fgpu::suite {
 
+void write_json(trace::JsonWriter& w, const vortex::HostWork& work) {
+  w.begin_object();
+  w.field("cluster_ticks", work.cluster_ticks);
+  w.field("core_ticks", work.core_ticks);
+  w.field("core_ticks_slept", work.core_ticks_slept);
+  w.field("cycles_skipped", work.cycles_skipped);
+  w.end_object();
+}
+
 void write_json(trace::JsonWriter& w, const vortex::PerfCounters& perf) {
   w.begin_object();
   w.field("cycles", perf.cycles);

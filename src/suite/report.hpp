@@ -68,6 +68,9 @@ enum class DeviceKind { kVortex, kHls, kTurbo };
 
 // Each writes one JSON object at the writer's current position.
 void write_json(trace::JsonWriter& w, const vortex::PerfCounters& perf);
+// Simulator work counters; fgpu.host.v1 only (they differ between
+// idle-skip modes, so never in a byte-gated document).
+void write_json(trace::JsonWriter& w, const vortex::HostWork& work);
 void write_json(trace::JsonWriter& w, const mem::MemStats& stats);
 void write_json(trace::JsonWriter& w, const fpga::AreaReport& area);
 void write_json(trace::JsonWriter& w, const vortex::ClusterStats& stats);

@@ -622,6 +622,7 @@ void write_host_json(std::ostream& os, const RunnerOptions& options,
   w.field("jobs", static_cast<uint64_t>(options.jobs));
   w.field("repeats", static_cast<uint64_t>(repeats.size()));
   w.field("reuse_devices", options.reuse_devices);
+  w.field("idle_skip", options.vortex_config.idle_skip);
 
   // Warm-repeat pairing (see runner.hpp): with several repeats, minima are
   // taken over repeats[1:] only — repeat 0 pays cold compiles and turbo
@@ -688,6 +689,16 @@ void write_host_json(std::ostream& os, const RunnerOptions& options,
   // machine's actual throughput).
   w.field("vortex_mcps", rate_per_sec(total_cycles, wall_min));
   w.field("vortex_mips", rate_per_sec(total_instrs, wall_min));
+  // Deterministic simulator work of the primary run (gated exactly by
+  // check_baseline.py's host step; depends on idle_skip, recorded above).
+  {
+    vortex::HostWork work;
+    for (const auto& outcome : primary.outcomes) {
+      if (outcome.ran_vortex) work.accumulate(outcome.vortex.work);
+    }
+    w.key("vortex_work");
+    write_json(w, work);
+  }
 
   // Turbo (functional tier) totals, present only when the tier ran. The
   // headline speedup compares *execution* time only — host wall spent inside
@@ -773,6 +784,8 @@ void write_host_json(std::ostream& os, const RunnerOptions& options,
       w.field("reused", outcome.vortex_reused);
       w.field("cycles", outcome.vortex.total_cycles);
       w.field("instrs", outcome.vortex.total_instrs);
+      w.key("work");
+      write_json(w, outcome.vortex.work);
       w.field("mcps", rate_per_sec(outcome.vortex.total_cycles, best));
       w.field("mips", rate_per_sec(outcome.vortex.total_instrs, best));
       {

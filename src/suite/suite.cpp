@@ -294,6 +294,7 @@ DeviceRun run_benchmark(vcl::Device& device, const Benchmark& bench,
     }
     result.total_cycles += stats->device_cycles;
     result.total_instrs += stats->perf.instrs;
+    result.work.accumulate(stats->work);
     result.total_time_ms += stats->time_ms();
     if (!stats->hls_sites.empty() || stats->pipeline_depth > 0) {
       for (auto& hp : result.hls_profiles) {

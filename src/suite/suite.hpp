@@ -181,6 +181,9 @@ struct DeviceRun {
   // the per-benchmark wall_ms there, so run-time comparisons are not
   // diluted by one-time build cost.
   double build_host_ms = 0.0;
+  // Cycle-exact simulator work summed over launches (fgpu.host.v1 "work";
+  // deterministic, but depends on Config::idle_skip).
+  vortex::HostWork work;
   vcl::LaunchStats last;  // stats of the final launch
   fpga::AreaReport area;  // HLS: summed module area
   double synthesis_hours = 0.0;

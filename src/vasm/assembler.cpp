@@ -151,7 +151,7 @@ class Assembler {
     }
     int64_t v = 0;
     std::string imm_text = strip(s.substr(0, open));
-    if (imm_text.empty()) imm_text = "0";
+    if (imm_text.empty()) imm_text.push_back('0');  // not `= "0"`: GCC 12 -Wrestrict
     if (!parse_int(imm_text, v)) return error(line.number, "bad offset '" + imm_text + "'");
     imm = static_cast<int32_t>(v);
     auto r = xreg(line, strip(s.substr(open + 1, close - open - 1)));

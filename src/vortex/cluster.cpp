@@ -42,10 +42,20 @@ Cluster::Cluster(const Config& config, mem::MainMemory& gmem, EcallHandler ecall
     cores_.back()->l1i().set_trace_id(c);
     stall_track_names_.push_back("stalls.c" + std::to_string(c));
   }
+  // Each core owns two consecutive interconnect endpoints (data and
+  // instruction). A response about to reach either L1 wakes a sleeping
+  // core first, so its slept cycles are charged against the frozen state —
+  // stale responses and writeback acks included.
+  noc_.set_delivery_hook([this](uint32_t port) {
+    Core& core = *cores_[port / 2];
+    if (core.asleep()) wake(core);
+  });
 }
 
 void Cluster::hard_reset() {
   cycle_ = 0;
+  asleep_ = 0;
+  work_ = HostWork{};
   l2_.reset();
   dram_.reset();
   noc_.reset();
@@ -54,6 +64,8 @@ void Cluster::hard_reset() {
 
 void Cluster::reset(uint32_t entry_pc) {
   cycle_ = 0;
+  asleep_ = 0;
+  work_ = HostWork{};
   l2_.flush();
   l2_.reset_stats();
   dram_.reset_stats();
@@ -71,44 +83,73 @@ void Cluster::tick() {
   if constexpr (trace::kEnabled) {
     if ((cycle_ & (trace::kCounterBucketCycles - 1)) == 0) trace_counters();
   }
-  // Clear the per-cycle progress flags before anything can deliver a
-  // response (memory responses count as progress for idle skipping).
-  for (auto& core : cores_) core->begin_tick();
-  // Bottom-up so responses ripple one level per cycle.
+  ++work_.cluster_ticks;
+  // Wake the cores whose own next event is due, and clear the progress
+  // flags of the awake ones before anything can deliver a response (memory
+  // responses count as progress).
+  for (auto& core : cores_) {
+    if (core->asleep()) {
+      if (core->wake_at() > cycle_) continue;
+      wake(*core);
+    }
+    core->begin_tick();
+  }
+  // Bottom-up so responses ripple one level per cycle. A response for a
+  // sleeping core wakes it on the way (see the interconnect hook).
   dram_.tick(cycle_);
   l2_.tick(cycle_);
-  for (auto& core : cores_) core->tick_caches(cycle_);
-  for (auto& core : cores_) core->tick_logic(cycle_);
+  for (auto& core : cores_) {
+    if (!core->asleep()) core->tick_caches(cycle_);
+  }
+  for (auto& core : cores_) {
+    if (core->asleep()) continue;
+    core->tick_logic(cycle_);
+    ++work_.core_ticks;
+  }
   ++cycle_;
 }
 
-// Event-driven idle skipping (Config::idle_skip). Called after a tick: if
-// no core made progress on that cycle, the machine's state is frozen until
-// the earliest self-scheduled event anywhere in the hierarchy — every
-// intervening cycle would replay the same issue outcome. Jump there,
-// letting each core bulk-attribute the skipped cycles to the stall bucket
-// it charged on the base cycle (preserving PerfCounters and the per-PC
-// profile's exact-sum contract to the cycle; see tests/test_fastpath.cpp).
-void Cluster::try_idle_skip() {
-  for (const auto& core : cores_) {
-    if (core->progressed()) return;
+void Cluster::wake(Core& core) {
+  work_.core_ticks_slept += core.wake(cycle_);
+  --asleep_;
+}
+
+void Cluster::wake_all() {
+  for (auto& core : cores_) {
+    if (core->asleep()) wake(*core);
   }
-  // `cycle_` was already advanced past the stalled cycle; components were
+}
+
+// Per-core sleep (Config::idle_skip). Called after a tick: a core that made
+// no progress on that cycle, and whose L1s have nothing due next cycle,
+// would repeat the same issue outcome on every cycle until its own next
+// event or until a lower-level response reaches one of its L1s. It stops
+// being ticked until then; on wake, Core::fast_forward bulk-attributes the
+// slept cycles to the stall bucket it charged on the base cycle (preserving
+// PerfCounters, the per-PC profile's exact-sum contract and the occupancy
+// samples to the cycle; see tests/test_fastpath.cpp). When every core is
+// asleep the cluster jumps straight to the earliest core wake-up or L2/DRAM
+// event — the same mechanism with nothing left to tick.
+void Cluster::sleep_idle_cores() {
+  // `cycle_` was already advanced past the ticked cycle; components were
   // last ticked at cycle_ - 1 and their queries are relative to that.
   const uint64_t base = cycle_ - 1;
-  uint64_t wake = dram_.next_event_cycle();
-  wake = std::min(wake, l2_.next_event_cycle());
-  for (const auto& core : cores_) {
-    wake = std::min(wake, core->l1d().next_event_cycle());
-    wake = std::min(wake, core->l1i().next_event_cycle());
-    wake = std::min(wake, core->next_wake_cycle(base));
+  for (auto& core : cores_) {
+    if (core->asleep() || core->progressed()) continue;
+    const uint64_t wake = core->next_wake_cycle(base);
+    if (wake <= cycle_) continue;  // something due next cycle anyway
+    core->sleep(cycle_, wake);
+    ++asleep_;
   }
+  if (asleep_ < cores_.size()) return;
+  uint64_t wake = std::min(dram_.next_event_cycle(), l2_.next_event_cycle());
+  for (const auto& core : cores_) wake = std::min(wake, core->wake_at());
   // No known event (e.g. a barrier deadlock): keep per-cycle ticking so the
   // max_cycles guard fires exactly as before.
   if (wake == mem::kNoEvent) return;
   wake = std::min(wake, config_.max_cycles);
   if (wake <= cycle_) return;
-  for (auto& core : cores_) core->fast_forward(cycle_, wake - cycle_);
+  work_.cycles_skipped += wake - cycle_;
   cycle_ = wake;
 }
 
@@ -148,6 +189,7 @@ ClusterStats Cluster::collect_stats() const {
   add_stats(stats.l2, l2_.stats());
   add_stats(stats.dram, dram_.stats());
   stats.dram_bytes = dram_.bytes_read() + dram_.bytes_written();
+  stats.work = work_;
   return stats;
 }
 
@@ -179,18 +221,21 @@ PcProfile Cluster::collect_profile() const {
 
 Result<ClusterStats> Cluster::run(uint32_t entry_pc) {
   reset(entry_pc);
-  // Idle skipping is bypassed while a trace sink is active: the per-cycle
-  // counter tracks sample on a cycle grid the skip would jump over.
-  const bool idle_skip = config_.idle_skip && trace::current() == nullptr;
+  // Sleeping is bypassed while a trace sink is active: the per-cycle
+  // counter tracks sample every core on a cycle grid sleep would freeze.
+  const bool sleep = config_.idle_skip && trace::current() == nullptr;
   while (busy()) {
     tick();
-    if (idle_skip) try_idle_skip();
+    if (sleep) sleep_idle_cores();
     if (cycle_ >= config_.max_cycles) {
+      wake_all();
       return Result<ClusterStats>(ErrorKind::kRuntimeError,
                                   "kernel exceeded max_cycles=" + std::to_string(config_.max_cycles) +
                                       " (possible deadlock or runaway loop)");
     }
   }
+  // Cores that finished early sleep out the run; charge their idle cycles.
+  wake_all();
   return collect_stats();
 }
 

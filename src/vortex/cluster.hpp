@@ -23,6 +23,7 @@ struct ClusterStats {
   mem::MemStats l2;
   mem::MemStats dram;
   uint64_t dram_bytes = 0;
+  HostWork work;  // simulator work, not GPU behaviour (fgpu.host.v1 only)
 };
 
 class Cluster {
@@ -30,7 +31,9 @@ class Cluster {
   Cluster(const Config& config, mem::MainMemory& gmem, EcallHandler ecall_handler = {});
 
   // Resets every core and runs the kernel at `entry_pc` to completion
-  // (all warps retired and no memory traffic in flight).
+  // (all warps retired and no memory traffic in flight). With
+  // Config::idle_skip (and no trace sink active), cores that cannot make
+  // progress sleep and are charged in bulk on wake; see sleep_idle_cores.
   Result<ClusterStats> run(uint32_t entry_pc);
 
   const Config& config() const { return config_; }
@@ -44,6 +47,9 @@ class Cluster {
   // every core (device-reuse contract; DESIGN.md "Device lifecycle"). Only
   // valid between kernels — reset(entry_pc) remains the per-launch boundary.
   void hard_reset();
+  // One cycle: wakes the sleeping cores whose own next event is due, then
+  // ticks DRAM, L2 and every awake core with its L1s. Cores only fall
+  // asleep inside run(), so single-stepping ticks every core every cycle.
   void tick();
   bool busy() const;
   uint64_t cycle() const { return cycle_; }
@@ -57,7 +63,9 @@ class Cluster {
 
  private:
   void trace_counters() const;
-  void try_idle_skip();
+  void sleep_idle_cores();
+  void wake(Core& core);
+  void wake_all();
 
   Config config_;
   mem::MainMemory& gmem_;
@@ -67,6 +75,8 @@ class Cluster {
   std::vector<std::unique_ptr<Core>> cores_;
   std::vector<std::string> stall_track_names_;  // "stalls.cN" trace tracks
   uint64_t cycle_ = 0;
+  uint32_t asleep_ = 0;  // cores currently asleep
+  HostWork work_;
 };
 
 }  // namespace fgpu::vortex

@@ -24,6 +24,11 @@ struct TraceEvent {
   uint64_t cycle = 0;
 };
 
+// Shape limits: warps are tracked in 64-bit per-core state masks, lanes in
+// 64-bit thread masks.
+inline constexpr uint32_t kMaxWarps = 64;
+inline constexpr uint32_t kMaxThreads = 64;
+
 struct Config {
   uint32_t cores = 4;
   uint32_t warps = 8;    // per core
@@ -76,9 +81,16 @@ struct Config {
 
   uint32_t hw_threads() const { return cores * warps * threads; }
 
+  // "C4W8T8". Appended piecewise: an operator+ chain over std::to_string
+  // temporaries trips GCC's -Wrestrict false positive once inlined.
   std::string to_string() const {
-    return "C" + std::to_string(cores) + "W" + std::to_string(warps) + "T" +
-           std::to_string(threads);
+    std::string out = "C";
+    out += std::to_string(cores);
+    out += 'W';
+    out += std::to_string(warps);
+    out += 'T';
+    out += std::to_string(threads);
+    return out;
   }
 
   static Config with(uint32_t c, uint32_t w, uint32_t t) {

@@ -1,6 +1,7 @@
 #include "vortex/core.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstring>
@@ -33,6 +34,26 @@ constexpr uint32_t kDecodeCacheMaxWords = 1u << 20;
 
 int32_t as_i32(uint32_t v) { return static_cast<int32_t>(v); }
 
+// Round-robin scheduling over a warp mask: the set bits at or above the
+// cursor `start` in ascending order, then the ones below it. `fn` returns
+// true to stop the walk.
+template <typename Fn>
+void for_each_rr(uint64_t mask, uint32_t start, Fn&& fn) {
+  const uint64_t high = mask & (~0ull << start);
+  for (uint64_t m = high; m != 0; m &= m - 1) {
+    if (fn(static_cast<uint32_t>(std::countr_zero(m)))) return;
+  }
+  for (uint64_t m = mask & ~high; m != 0; m &= m - 1) {
+    if (fn(static_cast<uint32_t>(std::countr_zero(m)))) return;
+  }
+}
+
+// First set bit of a non-empty `mask` in round-robin order from `start`.
+uint32_t first_rr(uint64_t mask, uint32_t start) {
+  const uint64_t high = mask & (~0ull << start);
+  return static_cast<uint32_t>(std::countr_zero(high != 0 ? high : mask));
+}
+
 uint32_t fcvt_w_s(float f, bool is_unsigned) {
   if (std::isnan(f)) {
     return is_unsigned ? 0xFFFFFFFFu : 0x7FFFFFFFu;
@@ -64,7 +85,7 @@ Core::Core(const Config& config, uint32_t core_id, mem::MainMemory& gmem, mem::M
       lsu_free_(config.lsu_queue_depth),
       barrier_arrived_(32, 0),
       barrier_expected_(32, 0) {
-  assert(config_.warps <= (1u << kIdSlotBits) && "warp index must fit the id slot byte");
+  assert(config_.warps <= kMaxWarps && "warp index must fit the state masks");
   assert(config_.lsu_queue_depth <= (1u << kIdSlotBits) && "LSU slot must fit the id slot byte");
   for (auto& warp : warps_) warp.ibuffer.init(std::max(1u, config_.ibuffer_depth));
   if (config_.memprof) {
@@ -95,19 +116,21 @@ Core::Core(const Config& config, uint32_t core_id, mem::MainMemory& gmem, mem::M
   l1i_.set_response_handler([this](uint64_t id, bool /*w*/) {
     // O(1): the fetching warp is in the id's low byte; the full id must
     // match the warp's in-flight fetch (stale responses never do).
-    Warp& warp = warps_[id & kIdSlotMask];
+    const uint32_t w = static_cast<uint32_t>(id & kIdSlotMask);
+    Warp& warp = warps_[w];
     if (!warp.fetch_pending || warp.fetch_id != id) return;  // stale
     warp.fetch_pending = false;
     progressed_ = true;
-    if (warp.generation != warp.fetch_generation || !warp.active) return;  // stale
-    const DecodedInstr* decoded = decode_at(warp.fetch_pc);
-    if (decoded == nullptr) {
-      FGPU_LOG(kError, "core %u warp %u: invalid instruction at %08x", core_id_,
-               static_cast<uint32_t>(id & kIdSlotMask), warp.fetch_pc);
-      warp.active = false;
-      return;
+    if (warp.generation == warp.fetch_generation && warp.active) {
+      if (const DecodedInstr* decoded = decode_at(warp.fetch_pc)) {
+        warp.ibuffer.push(FetchSlot{*decoded, warp.fetch_pc});
+      } else {
+        FGPU_LOG(kError, "core %u warp %u: invalid instruction at %08x", core_id_, w,
+                 warp.fetch_pc);
+        warp.active = false;
+      }
     }
-    warp.ibuffer.push(FetchSlot{*decoded, warp.fetch_pc});
+    sync_warp(w);
   });
 }
 
@@ -126,7 +149,10 @@ void Core::reset(uint32_t entry_pc) {
   last_outcome_ = IssueOutcome::kNone;
   last_stall_pc_ = 0;
   progressed_ = false;
+  asleep_ = false;
+  wake_at_ = kNoWake;
   std::fill(std::begin(fu_ready_), std::end(fu_ready_), 0ull);
+  fu_ready_max_ = 0;
   std::fill(barrier_arrived_.begin(), barrier_arrived_.end(), 0u);
   std::fill(barrier_expected_.begin(), barrier_expected_.end(), 0u);
   issue_rr_ = fetch_rr_ = 0;
@@ -144,6 +170,8 @@ void Core::reset(uint32_t entry_pc) {
   warps_[0].active = true;
   warps_[0].pc = entry_pc;
   warps_[0].tmask = 1;
+  active_mask_ = barrier_mask_ = ready_mask_ = fetch_mask_ = 0;
+  sync_warp(0);
 }
 
 void Core::hard_reset() {
@@ -151,6 +179,7 @@ void Core::hard_reset() {
   // reset() is the launch boundary: it leaves warp 0 armed. A hard reset
   // models a not-yet-launched core, so deactivate it again.
   warps_[0].reset();
+  sync_warp(0);
   // With every queue empty across the hierarchy there are no stale in-flight
   // responses to collide with, so the id sequence can restart — giving a
   // reused device the exact request-id stream of a fresh one.
@@ -159,14 +188,15 @@ void Core::hard_reset() {
   l1i_.reset();
 }
 
-bool Core::busy() const {
-  for (const auto& warp : warps_) {
-    if (warp.active) return true;
-  }
-  for (const auto& entry : lsu_queue_) {
-    if (entry.valid) return true;
-  }
-  return !completions_.empty();
+void Core::sync_warp(uint32_t w) {
+  const Warp& warp = warps_[w];
+  const uint64_t bit = 1ull << w;
+  const auto assign = [bit](uint64_t& mask, bool on) { mask = on ? mask | bit : mask & ~bit; };
+  assign(active_mask_, warp.active);
+  assign(barrier_mask_, warp.active && warp.at_barrier);
+  assign(ready_mask_, warp.active && !warp.ibuffer.empty());
+  assign(fetch_mask_, warp.active && !warp.fetch_pending &&
+                          warp.ibuffer.size() < config_.ibuffer_depth);
 }
 
 uint32_t Core::xreg(uint32_t warp, uint32_t lane, uint32_t index) const {
@@ -215,8 +245,12 @@ void Core::barrier_arrive(uint32_t warp_id, uint32_t id, uint32_t count, uint64_
   FGPU_TRACE_INSTANT("barrier_arrive", "warp", core_id_, cycle,
                      {{"warp", warp_id}, {"barrier", id}, {"arrived", barrier_arrived_[id]}});
   if (barrier_arrived_[id] >= barrier_expected_[id]) {
-    for (auto& other : warps_) {
-      if (other.at_barrier && other.barrier_id == id) other.at_barrier = false;
+    for (uint32_t w = 0; w < config_.warps; ++w) {
+      Warp& other = warps_[w];
+      if (other.at_barrier && other.barrier_id == id) {
+        other.at_barrier = false;
+        sync_warp(w);
+      }
     }
     barrier_arrived_[id] = 0;
     FGPU_TRACE_INSTANT("barrier_release", "warp", core_id_, cycle,
@@ -245,15 +279,10 @@ void Core::tick_logic(uint64_t cycle) {
 void Core::sample_occupancy(uint64_t cycle) {
   OccupancySample sample;
   sample.cycle = cycle;
-  for (const Warp& warp : warps_) {
-    if (!warp.active) {
-      ++sample.idle;
-    } else if (warp.at_barrier || warp.ibuffer.empty()) {
-      ++sample.blocked;
-    } else {
-      ++sample.ready;
-    }
-  }
+  const uint64_t ready = ready_mask_ & ~barrier_mask_;
+  sample.ready = static_cast<uint32_t>(std::popcount(ready));
+  sample.blocked = static_cast<uint32_t>(std::popcount(active_mask_ & ~ready));
+  sample.idle = config_.warps - static_cast<uint32_t>(std::popcount(active_mask_));
   profile_.occupancy.push_back(sample);
 }
 
@@ -409,71 +438,63 @@ const Core::DecodedInstr* Core::decode_at(uint32_t pc) {
 }
 
 void Core::do_issue(uint64_t cycle) {
-  bool any_active = false, saw_barrier = false, saw_empty = false;
+  if (active_mask_ == 0) {
+    ++perf_.idle_cycles;
+    last_outcome_ = IssueOutcome::kIdle;
+    last_stall_pc_ = 0;
+    return;
+  }
   bool saw_scoreboard = false, saw_lsu = false, saw_fu = false;
   // First warp (in round-robin order) blocked for each reason; a bubble
   // cycle is charged to exactly one of these PCs — the same single bucket
   // the aggregate counters use — so per-PC sums match PerfCounters exactly.
-  uint32_t barrier_pc = 0, empty_pc = 0, scoreboard_pc = 0, lsu_pc = 0, fu_pc = 0;
-  for (uint32_t i = 0; i < config_.warps; ++i) {
-    const uint32_t w = (issue_rr_ + i) % config_.warps;
-    Warp& warp = warps_[w];
-    if (!warp.active) continue;
-    any_active = true;
-    if (warp.at_barrier) {
-      if (!saw_barrier) {
-        // Resume point: the buffered instruction after the BAR, or the
-        // warp's next fetch PC when the buffer drained.
-        barrier_pc = warp.ibuffer.empty() ? warp.pc : warp.ibuffer.front().pc;
-      }
-      saw_barrier = true;
-      continue;
-    }
-    if (warp.ibuffer.empty()) {
-      if (!saw_empty) empty_pc = warp.pc;  // next fetch PC (fetch-bound)
-      saw_empty = true;
-      continue;
-    }
+  uint32_t scoreboard_pc = 0, lsu_pc = 0, fu_pc = 0;
+  int32_t issued = -1;
+  // Only warps with a buffered instruction and no barrier can issue.
+  for_each_rr(ready_mask_ & ~barrier_mask_, issue_rr_, [&](uint32_t w) {
     int reason = kStallNone;
-    const FetchSlot& head = warp.ibuffer.front();
-    if (!can_issue(warp, head.decoded, cycle, &reason)) {
-      if (reason == kStallScoreboard && !saw_scoreboard) scoreboard_pc = head.pc;
-      if (reason == kStallFu && !saw_fu) fu_pc = head.pc;
-      saw_scoreboard |= reason == kStallScoreboard;
-      saw_fu |= reason == kStallFu;
-      if (reason == kStallLsu) {
-        if (!saw_lsu) lsu_pc = head.pc;
-        saw_lsu = true;
-        // The LSU input port is a shared structural resource: a ready LOAD
-        // that cannot enter the queue blocks the issue stage (head-of-line),
-        // wasting the slot — the "LSU stall" behaviour behind the paper's
-        // Fig. 7 observation that load-heavy kernels (vecadd) degrade at
-        // high warp/thread counts. Stores drain through the write buffer
-        // and merely wait, letting other warps proceed.
-        if (!head.decoded.is_store) break;
-      }
-      continue;
+    const FetchSlot& head = warps_[w].ibuffer.front();
+    if (can_issue(warps_[w], head.decoded, cycle, &reason)) {
+      issued = static_cast<int32_t>(w);
+      return true;
     }
+    if (reason == kStallScoreboard && !saw_scoreboard) scoreboard_pc = head.pc;
+    if (reason == kStallFu && !saw_fu) fu_pc = head.pc;
+    saw_scoreboard |= reason == kStallScoreboard;
+    saw_fu |= reason == kStallFu;
+    if (reason != kStallLsu) return false;
+    if (!saw_lsu) lsu_pc = head.pc;
+    saw_lsu = true;
+    // The LSU input port is a shared structural resource: a ready LOAD
+    // that cannot enter the queue blocks the issue stage (head-of-line),
+    // wasting the slot — the "LSU stall" behaviour behind the paper's
+    // Fig. 7 observation that load-heavy kernels (vecadd) degrade at
+    // high warp/thread counts. Stores drain through the write buffer
+    // and merely wait, letting other warps proceed.
+    return !head.decoded.is_store;
+  });
+  if (issued >= 0) {
+    const uint32_t w = static_cast<uint32_t>(issued);
+    Warp& warp = warps_[w];
     const FetchSlot slot = warp.ibuffer.front();
     warp.ibuffer.pop();
-    issue_rr_ = (w + 1) % config_.warps;
+    issue_rr_ = w + 1 == config_.warps ? 0 : w + 1;
     ++perf_.instrs;
     ++instret_;
     progressed_ = true;
     last_outcome_ = IssueOutcome::kIssued;
     if (profile_.enabled) ++profile_.by_pc[slot.pc].issued;
     execute(w, slot, cycle);
+    sync_warp(w);
     return;
   }
   // Attribute the bubble (and, when profiling, the PC behind it — the same
   // priority order, so each bucket's per-PC sum equals the aggregate). The
-  // outcome is remembered so fast_forward() can bulk-charge skipped cycles
-  // to the same bucket and PC.
-  if (!any_active) {
-    ++perf_.idle_cycles;
-    last_outcome_ = IssueOutcome::kIdle;
-    last_stall_pc_ = 0;
-  } else if (saw_lsu) {
+  // outcome is remembered so fast_forward() can bulk-charge slept cycles
+  // to the same bucket and PC. A head-of-line LSU break can leave later
+  // warps unvisited; it also decides the bucket, so they never matter.
+  const uint64_t empty = active_mask_ & ~barrier_mask_ & ~ready_mask_;
+  if (saw_lsu) {
     ++perf_.stall_lsu;
     if (profile_.enabled) ++profile_.by_pc[lsu_pc].stall_lsu;
     last_outcome_ = IssueOutcome::kLsu;
@@ -488,12 +509,18 @@ void Core::do_issue(uint64_t cycle) {
     if (profile_.enabled) ++profile_.by_pc[fu_pc].stall_fu;
     last_outcome_ = IssueOutcome::kFu;
     last_stall_pc_ = fu_pc;
-  } else if (saw_empty) {
+  } else if (empty != 0) {
+    // Fetch-bound: charged to the next fetch PC of the first such warp.
+    const uint32_t empty_pc = warps_[first_rr(empty, issue_rr_)].pc;
     ++perf_.stall_ibuffer;
     if (profile_.enabled) ++profile_.by_pc[empty_pc].stall_ibuffer;
     last_outcome_ = IssueOutcome::kIbuffer;
     last_stall_pc_ = empty_pc;
-  } else if (saw_barrier) {
+  } else if (barrier_mask_ != 0) {
+    // Resume point: the buffered instruction after the BAR, or the warp's
+    // next fetch PC when the buffer drained.
+    const Warp& warp = warps_[first_rr(barrier_mask_, issue_rr_)];
+    const uint32_t barrier_pc = warp.ibuffer.empty() ? warp.pc : warp.ibuffer.front().pc;
     ++perf_.stall_barrier;
     if (profile_.enabled) ++profile_.by_pc[barrier_pc].stall_barrier;
     last_outcome_ = IssueOutcome::kBarrier;
@@ -518,6 +545,7 @@ void Core::execute(uint32_t w, const FetchSlot& slot, uint64_t cycle) {
   if (info.fu == arch::FuClass::kSfu ||
       (info.fu == arch::FuClass::kMulDiv && info.latency > 4)) {
     fu_ready_[static_cast<size_t>(info.fu)] = cycle + info.latency;
+    fu_ready_max_ = std::max(fu_ready_max_, cycle + info.latency);
   }
 
   auto schedule_rd = [&](bool is_float) {
@@ -788,6 +816,7 @@ void Core::execute(uint32_t w, const FetchSlot& slot, uint64_t cycle) {
         spawned.active = true;
         spawned.pc = target;
         spawned.tmask = 1;
+        sync_warp(i);
         ++perf_.warps_spawned;
         ++spawned_now;
       }
@@ -1188,24 +1217,20 @@ void Core::do_lsu(uint64_t cycle) {
 }
 
 void Core::do_fetch(uint64_t cycle) {
-  for (uint32_t i = 0; i < config_.warps; ++i) {
-    const uint32_t w = (fetch_rr_ + i) % config_.warps;
-    Warp& warp = warps_[w];
-    if (!warp.active || warp.fetch_pending) continue;
-    if (warp.ibuffer.size() >= config_.ibuffer_depth) continue;
-    if (config_.perfect_icache) {
-      const DecodedInstr* decoded = decode_at(warp.pc);
-      if (decoded == nullptr) {
-        FGPU_LOG(kError, "core %u warp %u: invalid instruction at %08x", core_id_, w, warp.pc);
-        warp.active = false;
-        return;
-      }
-      warp.ibuffer.push(FetchSlot{*decoded, warp.pc});
-      warp.pc += 4;
-      fetch_rr_ = (w + 1) % config_.warps;
-      progressed_ = true;
+  (void)cycle;
+  if (fetch_mask_ == 0) return;
+  const uint32_t w = first_rr(fetch_mask_, fetch_rr_);
+  Warp& warp = warps_[w];
+  if (config_.perfect_icache) {
+    const DecodedInstr* decoded = decode_at(warp.pc);
+    if (decoded == nullptr) {
+      FGPU_LOG(kError, "core %u warp %u: invalid instruction at %08x", core_id_, w, warp.pc);
+      warp.active = false;
+      sync_warp(w);
       return;
     }
+    warp.ibuffer.push(FetchSlot{*decoded, warp.pc});
+  } else {
     if (!l1i_.can_accept()) return;
     // The fetching warp index rides in the id's low byte; the monotonic
     // sequence above it makes the full id unique across redirects/resets.
@@ -1215,36 +1240,40 @@ void Core::do_fetch(uint64_t cycle) {
     warp.fetch_pc = warp.pc;
     warp.fetch_generation = warp.generation;
     l1i_.send(mem::MemRequest{.id = id, .addr = warp.pc, .is_write = false, .pc = warp.pc});
-    warp.pc += 4;
-    fetch_rr_ = (w + 1) % config_.warps;
-    progressed_ = true;
-    return;
   }
-  (void)cycle;
+  warp.pc += 4;
+  fetch_rr_ = w + 1 == config_.warps ? 0 : w + 1;
+  progressed_ = true;
+  sync_warp(w);
 }
 
-// Earliest future cycle at which this core has a self-scheduled event. The
-// cluster combines this with the memory components' next-event queries to
-// bound an idle-skip window; kNoWake means "waiting on memory only".
+// Earliest future cycle at which this core, or one of its L1s, has a
+// self-scheduled event. The cluster uses it as the wake-up time of a core
+// put to sleep after a no-progress cycle; kNoWake means "waiting on the L2
+// only" (a delivery into either L1 wakes the core: the Cluster's
+// interconnect hook).
 uint64_t Core::next_wake_cycle(uint64_t now) const {
-  uint64_t wake = kNoWake;
+  uint64_t wake = std::min(l1d_.next_event_cycle(), l1i_.next_event_cycle());
   if (completions_min_ready_ != kNoWake) {
     // A completion whose ready cycle already passed still needs a tick to
     // retire (do_writeback runs at most once per cycle).
-    wake = std::max(completions_min_ready_, now + 1);
+    wake = std::min(wake, std::max(completions_min_ready_, now + 1));
   }
-  for (const uint64_t ready : fu_ready_) {
-    if (ready > now) wake = std::min(wake, ready);
+  if (fu_ready_max_ > now) {
+    for (const uint64_t ready : fu_ready_) {
+      if (ready > now) wake = std::min(wake, ready);
+    }
   }
   return wake;
 }
 
-// Bulk-attributes the `count` skipped cycles [from, from+count). The cluster
-// only skips when no core made progress at cycle `from - 1` and no component
-// has an event before `from + count`, so each skipped cycle would have
-// repeated the previous cycle's issue outcome exactly — charge the same
-// bucket (and profiled PC) `count` times and synthesize the occupancy
-// samples the per-cycle path would have taken at its interval grid points.
+// Bulk-attributes the `count` slept cycles [from, from+count). A core only
+// sleeps after a cycle (`from - 1`) in which it made no progress, and wakes
+// at its own next event or before any response reaches its L1s, so each
+// slept cycle would have repeated that cycle's issue outcome exactly —
+// charge the same bucket (and profiled PC) `count` times and synthesize the
+// occupancy samples the per-cycle path would have taken at its interval
+// grid points.
 void Core::fast_forward(uint64_t from, uint64_t count) {
   if (count == 0) return;
   switch (last_outcome_) {

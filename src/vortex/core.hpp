@@ -12,8 +12,12 @@
 //  * fixed-capacity ring ibuffers (no per-warp deque allocation churn);
 //  * in-flight fetch/LSU responses keyed by request id (warp / queue slot
 //    encoded in the low bits) instead of linear side-table scans;
-//  * event bookkeeping (next_wake_cycle, progressed) that lets the cluster
-//    fast-forward through cycles where no core can make progress.
+//  * per-warp state bitmasks (active, at-barrier, ibuffer non-empty,
+//    fetchable) so issue, fetch, busy() and the occupancy sampler visit only
+//    eligible warps, in round-robin order, without a per-warp modulo;
+//  * sleep/wake bookkeeping (progressed, next_wake_cycle, sleep/wake) that
+//    lets the cluster stop ticking this core, and its L1s, over cycles in
+//    which it cannot make progress.
 #pragma once
 
 #include <cstdint>
@@ -70,25 +74,46 @@ class Core {
   // One cycle of pipeline logic: writeback, issue, LSU drain, fetch.
   void tick_logic(uint64_t cycle);
 
-  bool busy() const;
+  // O(1): an active warp, an occupied LSU slot or a pending writeback.
+  bool busy() const {
+    return active_mask_ != 0 || lsu_free_ != config_.lsu_queue_depth || !completions_.empty();
+  }
 
-  // --- Event-driven idle skipping (see Cluster::tick) -----------------
+  // --- Per-core sleep/wake (see Cluster::sleep_idle_cores) ------------
   // Clears the per-cycle progress flag; the cluster calls this before any
   // component (whose response chains can reach this core) is ticked.
   void begin_tick() { progressed_ = false; }
   // True if this core did anything this cycle that could change the next
   // cycle's behaviour: issued an instruction, initiated a fetch, sent an
-  // LSU line request, or received a memory response.
+  // LSU line request, retired a completion, or received a memory response.
   bool progressed() const { return progressed_; }
-  // Earliest future cycle (> now) at which this core has a self-scheduled
-  // event: a completion retiring or a non-pipelined FU becoming ready.
-  // kNoWake when it is waiting purely on external (memory) events.
+  // Earliest cycle (> now) at which this core or one of its L1s has a
+  // self-scheduled event: a completion retiring, a non-pipelined FU
+  // becoming ready, a hit response maturing or unsent L1 traffic to retry.
+  // kNoWake when it is waiting purely on responses from the L2.
   uint64_t next_wake_cycle(uint64_t now) const;
-  // Bulk-attributes `count` skipped cycles [from, from+count) to the stall
-  // bucket charged on the last simulated cycle (state is provably frozen
-  // over the window, so each skipped cycle repeats that attribution), and
-  // synthesizes the occupancy samples the profiler would have taken.
-  void fast_forward(uint64_t from, uint64_t count);
+
+  // Stops ticking this core and its L1s from cycle `from` on, after a cycle
+  // in which it made no progress. Its state is frozen until `wake_at` (its
+  // own next event) or until a lower-level response reaches either L1,
+  // whichever comes first.
+  void sleep(uint64_t from, uint64_t wake_at) {
+    asleep_ = true;
+    sleep_from_ = from;
+    wake_at_ = wake_at;
+  }
+  bool asleep() const { return asleep_; }
+  uint64_t wake_at() const { return wake_at_; }
+  // Ends the sleep at cycle `now`, charging the slept cycles [from, now)
+  // through fast_forward(). Must run before anything changes this core's
+  // state, so the charged window sees the frozen state. Returns the number
+  // of cycles slept.
+  uint64_t wake(uint64_t now) {
+    asleep_ = false;
+    progressed_ = false;
+    fast_forward(sleep_from_, now - sleep_from_);
+    return now - sleep_from_;
+  }
 
   const PerfCounters& perf() const { return perf_; }
   PerfCounters& perf() { return perf_; }
@@ -151,11 +176,13 @@ class Core {
     uint32_t size() const { return count; }
     const FetchSlot& front() const { return slots[head]; }
     void push(const FetchSlot& slot) {
-      slots[(head + count) % slots.size()] = slot;
+      uint32_t tail = head + count;
+      if (tail >= slots.size()) tail -= static_cast<uint32_t>(slots.size());
+      slots[tail] = slot;
       ++count;
     }
     void pop() {
-      head = (head + 1) % static_cast<uint32_t>(slots.size());
+      if (++head == slots.size()) head = 0;
       --count;
     }
     void clear() { head = count = 0; }
@@ -224,6 +251,15 @@ class Core {
     return fregs_[(warp * config_.threads + lane) * 32 + index];
   }
 
+  // Recomputes warp `w`'s bits in the state masks; called after anything
+  // changes its active/at_barrier/ibuffer/fetch_pending state.
+  void sync_warp(uint32_t w);
+  // Bulk-attributes `count` slept cycles [from, from+count) to the stall
+  // bucket charged on the last simulated cycle (state is provably frozen
+  // over the window, so each slept cycle repeats that attribution), and
+  // synthesizes the occupancy samples the profiler would have taken.
+  void fast_forward(uint64_t from, uint64_t count);
+
   void do_writeback(uint64_t cycle);
   void do_issue(uint64_t cycle);
   void do_lsu(uint64_t cycle);
@@ -258,6 +294,11 @@ class Core {
   EcallHandler ecall_handler_;
 
   std::vector<Warp> warps_;
+  // Warp state masks (bit w = warp w), kept in step by sync_warp().
+  uint64_t active_mask_ = 0;
+  uint64_t barrier_mask_ = 0;  // active and waiting at a barrier
+  uint64_t ready_mask_ = 0;    // active with a buffered instruction
+  uint64_t fetch_mask_ = 0;    // active, no fetch in flight, ibuffer not full
   std::vector<uint32_t> xregs_;  // [warp][thread][32]
   std::vector<uint32_t> fregs_;
 
@@ -276,6 +317,7 @@ class Core {
 
   // Per-FU readiness (structural hazards for non-pipelined units).
   uint64_t fu_ready_[8] = {0};
+  uint64_t fu_ready_max_ = 0;  // latest fu_ready_ entry (next_wake_cycle bound)
 
   // Barrier bookkeeping: id -> warps arrived.
   std::vector<uint32_t> barrier_arrived_;
@@ -292,6 +334,11 @@ class Core {
   IssueOutcome last_outcome_ = IssueOutcome::kNone;
   uint32_t last_stall_pc_ = 0;
   bool progressed_ = false;
+
+  // Sleep state (see sleep()/wake()).
+  bool asleep_ = false;
+  uint64_t sleep_from_ = 0;
+  uint64_t wake_at_ = kNoWake;
 
   PerfCounters perf_;
   PcProfile profile_;

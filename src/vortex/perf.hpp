@@ -94,4 +94,25 @@ struct PerfCounters {
   }
 };
 
+// Deterministic host-work counters of the cycle-exact cluster: how much
+// simulation work a launch cost, independent of host speed. They describe
+// the simulator, not the simulated GPU, so they differ between
+// Config::idle_skip on and off and stay out of every byte-gated document
+// (exported in fgpu.host.v1 only). Invariants: cluster_ticks +
+// cycles_skipped == cycles, and core_ticks + core_ticks_slept == cores *
+// cycles.
+struct HostWork {
+  uint64_t cluster_ticks = 0;     // Cluster::tick calls
+  uint64_t core_ticks = 0;        // core pipeline ticks executed
+  uint64_t core_ticks_slept = 0;  // core cycles charged in bulk on wake
+  uint64_t cycles_skipped = 0;    // cycles jumped with every core asleep
+
+  void accumulate(const HostWork& other) {
+    cluster_ticks += other.cluster_ticks;
+    core_ticks += other.core_ticks;
+    core_ticks_slept += other.core_ticks_slept;
+    cycles_skipped += other.cycles_skipped;
+  }
+};
+
 }  // namespace fgpu::vortex

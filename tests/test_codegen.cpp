@@ -347,7 +347,8 @@ TEST(CodegenTest, RegisterPressureSpills) {
   Val gid = kb.global_id(0);
   std::vector<Val> vals;
   for (int i = 0; i < 40; ++i) {
-    vals.push_back(kb.let_("v" + std::to_string(i), kb.load(in, gid) * (i + 1) + i));
+    const std::string n = std::to_string(i);  // lvalue: GCC 12 -Wrestrict
+    vals.push_back(kb.let_("v" + n, kb.load(in, gid) * (i + 1) + i));
   }
   Val acc = kb.let_("acc", Val(0));
   for (int i = 0; i < 40; ++i) kb.assign(acc, acc + vals[static_cast<size_t>(i)]);

@@ -155,8 +155,12 @@ TEST(DseFunnelTest, CountsAndParetoInvariants) {
   for (const auto& c : r.candidates) {
     if (c.selected) ++selected;
     if (c.sim_ok) ++sim_ok;
-    if (c.selected) EXPECT_TRUE(c.fits && c.feasible && c.screen_ok) << c.label;
-    if (c.pareto) EXPECT_TRUE(c.sim_ok) << c.label;
+    if (c.selected) {
+      EXPECT_TRUE(c.fits && c.feasible && c.screen_ok) << c.label;
+    }
+    if (c.pareto) {
+      EXPECT_TRUE(c.sim_ok) << c.label;
+    }
   }
   EXPECT_EQ(selected, r.exact_selected);
   EXPECT_EQ(sim_ok, r.exact_ok);

@@ -1,18 +1,24 @@
 // Fast-path correctness tests for the simulator's host-throughput
-// optimizations (ISSUE: decoded-instruction cache + event-driven idle
-// skipping). The contract under test: these are HOST-SPEED features only —
-// every reported cycle, stall bucket, and per-PC profile entry must be
+// optimizations (decoded-instruction cache, per-core sleep/wake and the
+// whole-cluster skip it reduces to). The contract under test: these are
+// HOST-SPEED features only — every reported cycle, stall bucket, per-PC
+// profile entry, occupancy sample and memory-profile histogram must be
 // bit-identical with the fast paths on or off.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/log.hpp"
 #include "mem/cache.hpp"
 #include "mem/dram.hpp"
 #include "suite/report.hpp"
 #include "suite/runner.hpp"
+#include "trace/json.hpp"
 #include "vasm/assembler.hpp"
 #include "vortex/cluster.hpp"
 
@@ -31,6 +37,34 @@ suite::RunnerOptions vortex_suite_options(bool idle_skip) {
   return options;
 }
 
+// Byte equality of two exported documents. On a mismatch, reports only the
+// first differing offset with some context: gtest's string diff of two
+// multi-megabyte documents would need quadratic memory.
+void expect_same_bytes(const std::string& a, const std::string& b) {
+  if (a == b) return;
+  size_t at = 0;
+  while (at < a.size() && at < b.size() && a[at] == b[at]) ++at;
+  const size_t from = at > 80 ? at - 80 : 0;
+  ADD_FAILURE() << "documents differ at byte " << at << " (sizes " << a.size() << ", "
+                << b.size() << ")\n--- off:\n"
+                << a.substr(from, 160) << "\n--- on:\n"
+                << b.substr(from, 160);
+}
+
+// The host-work counters partition the simulated cycles: every cycle is
+// either ticked or skipped, and every core-cycle is either ticked or slept.
+void expect_work_invariants(const suite::BenchmarkOutcome& outcome, uint32_t cores,
+                            bool idle_skip) {
+  const vortex::HostWork& work = outcome.vortex.work;
+  const uint64_t cycles = outcome.vortex.total_cycles;
+  EXPECT_EQ(work.cluster_ticks + work.cycles_skipped, cycles) << outcome.name;
+  EXPECT_EQ(work.core_ticks + work.core_ticks_slept, cores * cycles) << outcome.name;
+  if (!idle_skip) {
+    EXPECT_EQ(work.core_ticks_slept, 0u) << outcome.name;
+    EXPECT_EQ(work.cycles_skipped, 0u) << outcome.name;
+  }
+}
+
 TEST(IdleSkipTest, SuiteIsCycleExactWithSkippingOnAndOff) {
   Log::level() = LogLevel::kOff;
   const auto options_off = vortex_suite_options(false);
@@ -41,6 +75,7 @@ TEST(IdleSkipTest, SuiteIsCycleExactWithSkippingOnAndOff) {
   ASSERT_TRUE(on.is_ok()) << on.status().to_string();
   ASSERT_EQ(off->outcomes.size(), on->outcomes.size());
 
+  uint64_t core_ticks_off = 0, core_ticks_on = 0;
   for (size_t i = 0; i < off->outcomes.size(); ++i) {
     const auto& a = off->outcomes[i];
     const auto& b = on->outcomes[i];
@@ -52,23 +87,77 @@ TEST(IdleSkipTest, SuiteIsCycleExactWithSkippingOnAndOff) {
     // cycles that fast-forwarding attributes in bulk) must match the
     // cycle-by-cycle simulation exactly.
     EXPECT_TRUE(a.vortex.last.perf == b.vortex.last.perf) << a.name;
+    if (!a.vortex.ok()) continue;
+    expect_work_invariants(a, options_off.vortex_config.cores, false);
+    expect_work_invariants(b, options_on.vortex_config.cores, true);
+    core_ticks_off += a.vortex.work.core_ticks;
+    core_ticks_on += b.vortex.work.core_ticks;
   }
+  // Sleeping must actually remove core ticks, not just preserve results.
+  EXPECT_LT(core_ticks_on, core_ticks_off);
 
   // Byte-identical exports: stats and the per-PC profile document. A
   // difference here means the fast path leaked into the reported schema.
   std::ostringstream stats_off, stats_on, prof_off, prof_on;
   suite::write_stats_json(stats_off, options_off, *off);
   suite::write_stats_json(stats_on, options_on, *on);
-  EXPECT_EQ(stats_off.str(), stats_on.str());
+  expect_same_bytes(stats_off.str(), stats_on.str());
   suite::write_profile_json(prof_off, options_off, *off);
   suite::write_profile_json(prof_on, options_on, *on);
-  EXPECT_EQ(prof_off.str(), prof_on.str());
+  expect_same_bytes(prof_off.str(), prof_on.str());
 }
 
+// Fig. 7 grid corners (smallest, largest, few-wide-warps, many-narrow-warps
+// on up to 16 cores) on vecadd and transpose, plus a barrier-heavy (lud)
+// and an atomics (hybridsort) benchmark, with the per-PC and memory
+// profilers on: the stats, profile and mem documents must be byte-identical
+// with per-core sleep on and off. lud cannot dispatch its work-group on
+// C1W2T2; the failure must then be identical too.
+class SleepGridTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(SleepGridTest, DocumentsAreByteIdenticalWithSleepOnAndOff) {
+  Log::level() = LogLevel::kOff;
+  uint32_t c = 0, w = 0, t = 0;
+  ASSERT_EQ(std::sscanf(GetParam(), "C%uW%uT%u", &c, &w, &t), 3);
+  std::string docs[2];
+  uint64_t core_ticks[2] = {};
+  for (const bool idle_skip : {false, true}) {
+    suite::RunnerOptions options;
+    options.filter = "^(vecadd|transpose|lud|hybridsort)$";
+    options.run_hls = false;
+    options.capture_profile = true;
+    options.capture_memprof = true;
+    options.vortex_config = vortex::Config::with(c, w, t);
+    options.vortex_config.idle_skip = idle_skip;
+    auto run = suite::run_all(options);
+    ASSERT_TRUE(run.is_ok()) << run.status().to_string();
+    ASSERT_EQ(run->outcomes.size(), 4u);
+    std::ostringstream os;
+    suite::write_stats_json(os, options, *run);
+    suite::write_profile_json(os, options, *run);
+    suite::write_mem_json(os, options, *run);
+    docs[idle_skip] = os.str();
+    for (const auto& outcome : run->outcomes) {
+      if (outcome.name != "lud") {
+        EXPECT_TRUE(outcome.vortex.ok()) << outcome.name;
+      }
+      if (!outcome.vortex.ok()) continue;
+      expect_work_invariants(outcome, c, idle_skip);
+      core_ticks[idle_skip] += outcome.vortex.work.core_ticks;
+    }
+  }
+  expect_same_bytes(docs[false], docs[true]);
+  EXPECT_LT(core_ticks[true], core_ticks[false]);
+}
+
+INSTANTIATE_TEST_SUITE_P(Fig7Corners, SleepGridTest,
+                         ::testing::Values("C1W2T2", "C16W32T32", "C16W2T32", "C8W16T4"));
+
 // ---------------------------------------------------------------------------
-// Decode cache: cold/warm equivalence and invalidation on reset
+// Per-core sleep: single-core scenarios around the wake rules
 // ---------------------------------------------------------------------------
 
+// A 100-iteration counted loop (sum 1..100 stored to the heap).
 constexpr const char* kLoopProgram = R"(
     li t0, 100
     li t1, 0
@@ -80,6 +169,143 @@ constexpr const char* kLoopProgram = R"(
     sw t1, 0(t2)
     tmc zero
 )";
+
+struct AsmRun {
+  vortex::ClusterStats stats;
+  vortex::PcProfile profile;
+  std::string memprof;  // every level's memory profile, as JSON
+  mem::MainMemory memory;
+};
+
+// Runs `prog` on one core with the per-PC profiler sampling occupancy
+// every cycle and the memory profiler on.
+AsmRun run_profiled(const vasm::Program& prog, uint32_t warps, bool idle_skip,
+                    const std::vector<std::pair<uint32_t, uint32_t>>& data = {}) {
+  AsmRun run;
+  run.memory.write(prog.base, prog.words.data(), prog.size_bytes());
+  for (const auto& [addr, value] : data) run.memory.store32(addr, value);
+  vortex::Config config = vortex::Config::with(1, warps, 1);
+  config.profile = true;
+  config.profile_interval = 1;
+  config.memprof = true;
+  config.idle_skip = idle_skip;
+  vortex::Cluster cluster(config, run.memory);
+  auto stats = cluster.run(prog.entry());
+  EXPECT_TRUE(stats.is_ok()) << stats.status().to_string();
+  if (stats.is_ok()) run.stats = *stats;
+  run.profile = cluster.collect_profile();
+  const mem::MemHierarchyProfile memprof = cluster.collect_mem_profile();
+  std::ostringstream os;
+  trace::JsonWriter w(os, /*pretty=*/false);
+  w.begin_array();
+  for (const auto* level : {&memprof.l1d, &memprof.l1i, &memprof.l2}) suite::write_json(w, *level);
+  suite::write_json(w, memprof.dram);
+  w.end_array();
+  run.memprof = os.str();
+  return run;
+}
+
+void expect_same_run(const AsmRun& off, const AsmRun& on) {
+  EXPECT_TRUE(off.stats.perf == on.stats.perf) << off.stats.perf.summary() << "\n"
+                                               << on.stats.perf.summary();
+  EXPECT_TRUE(off.stats.l1d == on.stats.l1d);
+  EXPECT_TRUE(off.stats.l1i == on.stats.l1i);
+  EXPECT_TRUE(off.stats.l2 == on.stats.l2);
+  EXPECT_TRUE(off.profile.by_pc == on.profile.by_pc);
+  expect_same_bytes(off.memprof, on.memprof);
+  ASSERT_EQ(off.profile.occupancy.size(), on.profile.occupancy.size());
+  for (size_t i = 0; i < off.profile.occupancy.size(); ++i) {
+    const auto& a = off.profile.occupancy[i];
+    const auto& b = on.profile.occupancy[i];
+    EXPECT_EQ(a.cycle, b.cycle);
+    EXPECT_EQ(a.ready, b.ready) << "cycle " << a.cycle;
+    EXPECT_EQ(a.blocked, b.blocked) << "cycle " << a.cycle;
+    EXPECT_EQ(a.idle, b.idle) << "cycle " << a.cycle;
+  }
+}
+
+// Warp 1 exits (TMC 0) as the last word of an instruction line. The TMC
+// waits on a load-dependent register, so warp 1 fetches ahead and the fetch
+// of the next line — a DRAM round trip — is still in flight when it
+// retires. Warp 0 meanwhile chases four dependent load misses, so the core
+// sleeps with the orphaned fetch outstanding; its stale response must wake
+// the core before it lands. Warp 0 then re-spawns warp 1 at a new entry.
+constexpr const char* kRespawnProgram = R"(
+    li t0, 2
+    la t1, exit1
+    wspawn t0, t1
+    li t2, 0x20001000
+    lw t2, 0(t2)
+    lw t2, 0(t2)
+    lw t2, 0(t2)
+    lw t2, 0(t2)
+    la t1, second
+    wspawn t0, t1
+    tmc zero
+    nop
+    nop
+    nop
+  exit1:
+    li t4, 0x20008000
+    lw t3, 0(t4)
+    and t3, t3, zero
+  last:
+    tmc t3
+  second:
+    li t4, 0x20000000
+    li t5, 7
+    sw t5, 0(t4)
+    tmc zero
+)";
+
+TEST(SleepTest, WarpExitsWithFetchInFlightAndIsRespawnedAroundSleep) {
+  auto prog = vasm::assemble(kRespawnProgram);
+  ASSERT_TRUE(prog.is_ok()) << prog.status().to_string();
+  // TMC must be the last word of its 16-byte line for the orphaned fetch to
+  // miss in the L1I.
+  ASSERT_EQ(prog->symbols.at("last") % mem::kLineBytes, mem::kLineBytes - 4);
+  const std::vector<std::pair<uint32_t, uint32_t>> chain = {{0x20001000, 0x20002000},
+                                                            {0x20002000, 0x20003000},
+                                                            {0x20003000, 0x20004000},
+                                                            {0x20004000, 0}};
+  const AsmRun off = run_profiled(*prog, 2, false, chain);
+  const AsmRun on = run_profiled(*prog, 2, true, chain);
+  expect_same_run(off, on);
+  EXPECT_EQ(on.memory.load32(0x20000000), 7u);
+  EXPECT_EQ(on.stats.perf.warps_spawned, 2u);
+  EXPECT_GT(on.stats.work.core_ticks_slept, 0u);
+  EXPECT_EQ(on.stats.work.core_ticks + on.stats.work.core_ticks_slept, on.stats.perf.cycles);
+}
+
+// The very first fetch misses the L1I and the L2, so the core sleeps with
+// its only warp fetch-bound until the L2 fill reaches the L1I. The fill
+// wakes the core before it is delivered: every occupancy sample of the
+// slept window shows the pre-delivery state (warp blocked, nothing ready),
+// and the delivery cycle's own sample already shows the buffered
+// instruction.
+TEST(SleepTest, L2FillWakesSleepingCoreBeforeDelivery) {
+  auto prog = vasm::assemble(kLoopProgram);
+  ASSERT_TRUE(prog.is_ok()) << prog.status().to_string();
+  const AsmRun off = run_profiled(*prog, 1, false);
+  const AsmRun on = run_profiled(*prog, 1, true);
+  expect_same_run(off, on);
+  EXPECT_GT(on.stats.work.core_ticks_slept, 0u);
+
+  const auto& samples = on.profile.occupancy;
+  const auto delivered = std::find_if(samples.begin(), samples.end(),
+                                      [](const vortex::OccupancySample& s) { return s.ready > 0; });
+  ASSERT_NE(delivered, samples.end());
+  // A DRAM round trip, not a cache hit.
+  EXPECT_GT(delivered->cycle, 20u);
+  for (auto it = samples.begin(); it != delivered; ++it) {
+    EXPECT_EQ(it->ready, 0u) << "cycle " << it->cycle;
+    EXPECT_EQ(it->blocked, 1u) << "cycle " << it->cycle;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Decode cache: cold/warm equivalence and invalidation on reset
+// ---------------------------------------------------------------------------
 
 TEST(DecodeCacheTest, WarmRefetchHitsAndResetInvalidates) {
   auto prog = vasm::assemble(kLoopProgram);

@@ -64,8 +64,9 @@ kir::Kernel random_kernel(uint64_t seed) {
                [&] { kb.assign(acc, acc ^ expr(2)); });
         break;
       case 1: {  // data-dependent loop (bounded trip count)
-        Val trips = kb.let_("trips" + std::to_string(s), expr(1) & 7);
-        kb.for_("i" + std::to_string(s), Val(0), trips,
+        const std::string n = std::to_string(s);  // lvalue: GCC 12 -Wrestrict
+        Val trips = kb.let_("trips" + n, expr(1) & 7);
+        kb.for_("i" + n, Val(0), trips,
                 [&](Val i) { kb.assign(acc, acc + i + (acc >> 3)); });
         break;
       }

@@ -141,7 +141,10 @@ TEST(HlsSynthesisTest, BramHungryKernelFailsFitting) {
   // the paper's dominant failure mode (Table I "Not enough BRAM").
   KernelBuilder kb("hungry");
   std::vector<Buf> bufs;
-  for (int i = 0; i < 12; ++i) bufs.push_back(kb.buf_f32("b" + std::to_string(i)));
+  for (int i = 0; i < 12; ++i) {
+    const std::string n = std::to_string(i);  // lvalue: GCC 12 -Wrestrict
+    bufs.push_back(kb.buf_f32("b" + n));
+  }
   Val gid = kb.global_id(0);
   kb.for_("i", Val(0), Val(64), [&](Val i) {
     Val acc = kb.let_("acc" /* fresh per build */, Val(0.0f));

@@ -166,7 +166,10 @@ TEST(HlsSynthReportTest, FailedFitStillProducesStructuredReport) {
   // Result is an error, but synth_report still yields the Table II row.
   KernelBuilder kb("fat");
   std::vector<Buf> bufs;
-  for (int i = 0; i < 16; ++i) bufs.push_back(kb.buf_f32("b" + std::to_string(i)));
+  for (int i = 0; i < 16; ++i) {
+    const std::string n = std::to_string(i);  // lvalue: GCC 12 -Wrestrict
+    bufs.push_back(kb.buf_f32("b" + n));
+  }
   Val gid = kb.global_id(0);
   kb.for_("i", Val(0), Val(8), [&](Val i) {
     Val acc = kb.let_("acc0", Val(0.0f));
@@ -254,7 +257,10 @@ TEST(HlsTimingTest, FitterErrorNamesResourceAndCounts) {
   // Enough complex access sites to overflow the MX2100.
   KernelBuilder kb("fat");
   std::vector<Buf> bufs;
-  for (int i = 0; i < 16; ++i) bufs.push_back(kb.buf_f32("b" + std::to_string(i)));
+  for (int i = 0; i < 16; ++i) {
+    const std::string n = std::to_string(i);  // lvalue: GCC 12 -Wrestrict
+    bufs.push_back(kb.buf_f32("b" + n));
+  }
   Val gid = kb.global_id(0);
   kb.for_("i", Val(0), Val(8), [&](Val i) {
     Val acc = kb.let_("acc" + std::to_string(0), Val(0.0f));

@@ -121,7 +121,7 @@ TEST(InterpTest, AtomicsAreSequentiallyConsistentPerItemOrder) {
 
 TEST(InterpTest, AtomicCmpxchg) {
   KernelBuilder kb("cas");
-  Buf slot = kb.buf_i32("slot");
+  kb.buf_i32("slot");  // buffer 0, which the raw statement below addresses
   auto stmt = std::make_shared<Stmt>();
   stmt->kind = StmtKind::kAtomic;
   stmt->atomic = AtomicOp::kCmpxchg;

@@ -149,7 +149,8 @@ TEST_P(IsaRoundTrip, RoundTrips) {
     case Format::kI: in.rd = 1; in.rs1 = 2; in.imm = -3; break;
     case Format::kIShift: in.rd = 1; in.rs1 = 2; in.imm = 3; break;
     case Format::kS: in.rs1 = 1; in.rs2 = 2; in.imm = -4; break;
-    case Format::kB: in.rs1 = 1; in.rs2 = op == Op::kSplit || op == Op::kPred ? 0 : 2; in.imm = -8; break;
+    case Format::kB: in.rs1 = 1; in.rs2 = 2; in.imm = -8; break;
+    case Format::kJr: in.rs1 = 2; in.imm = -8; break;
     case Format::kU: in.rd = 1; in.imm = 0x12345; break;
     case Format::kJ: in.rd = op == Op::kJoin ? 0 : 1; in.imm = 16; break;
     case Format::kCsr: in.rd = 1; in.rs1 = 0; in.imm = 0xCC0; break;

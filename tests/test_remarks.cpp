@@ -108,7 +108,9 @@ TEST(Remarks, HotspotRankingIsByteIdenticalAcrossJobCounts) {
       for (size_t i = 0; i < ranked.size(); ++i) {
         ASSERT_NE(ranked[i].remark, nullptr);
         EXPECT_GT(ranked[i].cycles, 0u) << outcome.name << " / " << kc.kernel;
-        if (i > 0) EXPECT_GE(ranked[i - 1].cycles, ranked[i].cycles);
+        if (i > 0) {
+          EXPECT_GE(ranked[i - 1].cycles, ranked[i].cycles);
+        }
       }
     }
   }

@@ -143,7 +143,9 @@ TEST(ScopedSink, MacrosRecordOnlyWhenInstalled) {
   Sink sink;
   {
     ScopedSink scoped(&sink);
-    if (kEnabled) EXPECT_TRUE(FGPU_TRACE_ACTIVE());
+    if (kEnabled) {
+      EXPECT_TRUE(FGPU_TRACE_ACTIVE());
+    }
     FGPU_TRACE_INSTANT("hit", "test", 1, 5, {"n", 42});
     FGPU_TRACE_COUNTER("track", 0, 1024, {"v", 7});
   }

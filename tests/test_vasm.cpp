@@ -226,7 +226,12 @@ TEST(DisassemblerTest, AnnotateColumnAndSourceCommentsInterleave) {
   map.word_source = {0, 0, 1};
   DisasmOptions options;
   options.source_map = &map;
-  options.annotate = [](uint32_t, size_t index) { return "[" + std::to_string(index) + "] "; };
+  options.annotate = [](uint32_t, size_t index) {
+    std::string column = "[";  // appended piecewise: GCC 12 -Wrestrict
+    column += std::to_string(index);
+    column += "] ";
+    return column;
+  };
   const std::string listing = prog->disassemble(options);
 
   // One comment per source-id *change*, not one per word.

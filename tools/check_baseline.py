@@ -30,6 +30,13 @@ compared with --host-baseline/--host-current. Host throughput is NON-GATING
 by design — CI machines vary — it prints a wall-time trajectory only.
 When both documents carry turbo sections, the turbo dispatch throughput and
 turbo-over-vortex speedup trajectory are printed too (equally non-gating).
+The same step GATES the deterministic simulator-work counters
+(vortex_work and each benchmark's vortex.work: cluster_ticks, core_ticks,
+core_ticks_slept, cycles_skipped) EXACTLY: they count simulation work, not
+time, so any delta is a fast-path behaviour change that demands a
+BENCH_host.json refresh. The check runs only when both documents describe
+the same run (suite header and idle_skip); otherwise it prints why it was
+skipped.
 
 Turbo digest gate (--turbo-digests): BASELINE and CURRENT are read as
 fgpu.host.v1 documents from an fgpu-run --device=all run (they may be the
@@ -208,6 +215,62 @@ def compare_host(host_baseline, host_current):
               f"speedup over cycle path "
               f"{base.get('turbo_speedup_over_vortex', 0):.1f}x -> "
               f"{cur.get('turbo_speedup_over_vortex', 0):.1f}x")
+
+
+WORK_FIELDS = ("cluster_ticks", "core_ticks", "core_ticks_slept", "cycles_skipped")
+
+
+def compare_host_work(host_baseline, host_current):
+    """GATING exact comparison of the fgpu.host.v1 simulator-work counters.
+
+    Returns failures. Skipped (with a note) when the two documents describe
+    different runs: another suite header (config, opt level, filter, seed)
+    or idle-skip mode, or a baseline that predates the counters.
+    """
+    with open(host_baseline) as f:
+        base = json.load(f)
+    with open(host_current) as f:
+        cur = json.load(f)
+    if base.get("schema") != "fgpu.host.v1" or cur.get("schema") != "fgpu.host.v1":
+        return []
+    if "vortex_work" not in base:
+        print(f"note: {host_baseline} has no vortex_work counters — skipping the "
+              "host-work gate (regenerate it with fgpu-run --host-json)")
+        return []
+    if "vortex_work" not in cur:
+        return [f"host-work: vortex_work missing from {host_current}"]
+    for key in ("suite", "idle_skip"):
+        if base.get(key) != cur.get(key):
+            print(f"note: host docs differ in {key!r} — skipping the host-work gate")
+            return []
+    failures = []
+    base_benchmarks = by_name(base)
+    cur_benchmarks = by_name(cur)
+    compared = 0
+    for name in sorted(set(base_benchmarks) & set(cur_benchmarks)):
+        b = (base_benchmarks[name].get("vortex") or {}).get("work")
+        c = (cur_benchmarks[name].get("vortex") or {}).get("work")
+        if b is None:
+            continue
+        if c is None:
+            failures.append(f"host-work: {name}: vortex.work missing from the current run")
+            continue
+        compared += 1
+        for field in WORK_FIELDS:
+            if b.get(field) != c.get(field):
+                failures.append(f"host-work: {name}: {field} {b.get(field)} -> {c.get(field)}")
+    if set(base_benchmarks) == set(cur_benchmarks):
+        for field in WORK_FIELDS:
+            b, c = base["vortex_work"].get(field), cur["vortex_work"].get(field)
+            if b != c:
+                failures.append(f"host-work: suite {field} {b} -> {c}")
+    if not failures:
+        total = cur["vortex_work"]
+        print(f"host-work: {compared} benchmarks match exactly; suite "
+              f"{total.get('core_ticks')} core ticks ({total.get('core_ticks_slept')} slept), "
+              f"{total.get('cluster_ticks')} cluster ticks, "
+              f"{total.get('cycles_skipped')} cycles skipped")
+    return failures
 
 
 def check_turbo_digests(base, cur, minimum, full):
@@ -698,8 +761,10 @@ def main():
                              "0 fails on any regression (optimizer gate)")
     parser.add_argument("--exact-cycles", action="store_true",
                         help="fail on ANY cycle delta (gate for host-speed-only changes)")
-    parser.add_argument("--host-baseline", help="fgpu.host.v1 baseline (non-gating)")
-    parser.add_argument("--host-current", help="fgpu.host.v1 current run (non-gating)")
+    parser.add_argument("--host-baseline",
+                        help="fgpu.host.v1 baseline (wall time non-gating; "
+                             "simulator-work counters GATED exactly)")
+    parser.add_argument("--host-current", help="fgpu.host.v1 current run")
     parser.add_argument("--mem-baseline",
                         help="fgpu.mem.v1 baseline (GATING, e.g. BENCH_mem.json)")
     parser.add_argument("--mem-current", help="fgpu.mem.v1 current run (GATING)")
@@ -845,6 +910,7 @@ def main():
 
     if args.host_baseline and args.host_current:
         compare_host(args.host_baseline, args.host_current)
+        failures.extend(compare_host_work(args.host_baseline, args.host_current))
 
     if args.mem_baseline and args.mem_current:
         failures.extend(compare_mem(args.mem_baseline, args.mem_current))

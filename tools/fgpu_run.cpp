@@ -49,7 +49,7 @@ void usage(const char* argv0) {
       "                   turbo  = binary-translation functional tier: same\n"
       "                   binaries and output digests, no cycles/profiles\n"
       "                   both = vortex+hls; all = vortex+hls+turbo\n"
-      "  --config=CcWwTt  soft-GPU shape, e.g. C4W8T8 (default C4W8T8)\n"
+      "  --config=CcWwTt  soft-GPU shape, e.g. C4W8T8 (default C4W8T8; W, T <= 64)\n"
       "  --json=PATH      write fgpu.stats.v1 JSON stats (see OBSERVABILITY.md)\n"
       "  --trace=PATH     write Chrome trace_event JSON (open in chrome://tracing)\n"
       "  --profile=PATH   write fgpu.profile.v1 per-PC cycle profile JSON\n"
@@ -90,8 +90,10 @@ void usage(const char* argv0) {
       "  --host-json=PATH write fgpu.host.v1 host-throughput JSON (wall/MIPS)\n"
       "  --host-stats     embed host wall/MIPS in the stats JSON (breaks the\n"
       "                   byte-identical determinism contract; default off)\n"
-      "  --no-idle-skip   tick every cycle (disable event-driven idle skipping;\n"
-      "                   reported cycles are identical either way)\n"
+      "  --no-idle-skip   tick every core every cycle (disable per-core sleep\n"
+      "                   and idle skipping; simulated results are identical\n"
+      "                   either way, only wall time and the fgpu.host.v1\n"
+      "                   work counters change)\n"
       "  -O0 | -O1 | -O2  guest-code optimization level for the soft-GPU\n"
       "                   compiler (default -O2; -O0 is the straight-lowering\n"
       "                   oracle). --opt=N is the long spelling.\n"
@@ -115,7 +117,8 @@ const char* hls_expected_failure(const std::string& name) {
   return nullptr;
 }
 
-// Parses "C4W8T8" (case-insensitive, any order, all three required).
+// Parses "C4W8T8" (case-insensitive, any order, all three required;
+// warps and threads within the 64-bit mask limits).
 bool parse_config(const std::string& spec, vortex::Config* config) {
   uint32_t c = 0, w = 0, t = 0;
   size_t i = 0;
@@ -136,6 +139,7 @@ bool parse_config(const std::string& spec, vortex::Config* config) {
     }
   }
   if (c == 0 || w == 0 || t == 0) return false;
+  if (w > vortex::kMaxWarps || t > vortex::kMaxThreads) return false;
   *config = vortex::Config::with(c, w, t);
   return true;
 }
