@@ -12,6 +12,7 @@
 #include "mem/cache.hpp"
 #include "mem/dram.hpp"
 #include "runtime/vortex_device.hpp"
+#include "suite/dse.hpp"
 #include "suite/suite.hpp"
 #include "vasm/assembler.hpp"
 
@@ -101,15 +102,30 @@ void BM_CacheHitStream(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheHitStream);
 
+// Items are interpreter lane operations (InterpWork::lane_ops), so the rate
+// is comparable across interpreter changes that keep the same work.
 void BM_Interpreter(benchmark::State& state) {
   auto bench = suite::make_benchmark("kmeans");
+  kir::InterpWork work;
   for (auto _ : state) {
-    auto out = suite::reference_run(bench);
+    auto out = suite::reference_run(bench, &work);
     benchmark::DoNotOptimize(out);
   }
-  state.SetItemsProcessed(state.iterations() * 1024);
+  state.SetItemsProcessed(static_cast<int64_t>(work.lane_ops));
 }
 BENCHMARK(BM_Interpreter);
+
+// The analytical model's workload profile of a multi-launch benchmark: each
+// distinct kernel is prepared once, then interpreted per launch.
+void BM_ProfileBenchmark(benchmark::State& state) {
+  auto bench = suite::make_benchmark("gaussian");
+  for (auto _ : state) {
+    auto profiles = suite::profile_benchmark(bench);
+    benchmark::DoNotOptimize(profiles);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(bench.launches.size()));
+}
+BENCHMARK(BM_ProfileBenchmark);
 
 }  // namespace
 

@@ -1,14 +1,16 @@
 #include "kir/interp.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <unordered_map>
 
 #include "common/bits.hpp"
 
 namespace fgpu::kir {
 namespace {
+
+using Op = Program::Op;
 
 // RISC-V-compatible integer division semantics so the reference model and
 // the soft-GPU binary agree bit for bit.
@@ -23,752 +25,602 @@ int32_t rem_i32(int32_t a, int32_t b) {
   return a % b;
 }
 
-using Vec = std::vector<uint32_t>;
-using Mask = std::vector<uint8_t>;
+int32_t s32(uint32_t v) { return static_cast<int32_t>(v); }
 
-// Static load sites of a store statement's operand expressions (cached per
-// Stmt so the alias check below walks each tree once per run, not once per
-// execution).
-struct LoadSite {
-  int index = 0;
-  bool is_local = false;
-};
-
-struct GroupContext {
-  const Kernel* kernel = nullptr;
-  const std::vector<KernelArg>* args = nullptr;
-  const NDRange* ndrange = nullptr;
-  uint32_t group[3] = {0, 0, 0};
-  uint32_t items = 0;  // local linear size
-
-  // Per-item local ids.
-  std::vector<uint32_t> lid[3];
-  // Variable environment: name -> per-item bits. unordered_map keeps
-  // references to values stable across inserts (node-based), which kFor
-  // relies on while executing loop bodies that introduce new variables.
-  std::unordered_map<std::string, std::vector<uint32_t>> env;
-  // Local (__local) arrays: slot -> element bits.
-  std::vector<std::vector<uint32_t>> locals;
-
-  // Scratch pools reused across statements and groups so the vectorized
-  // evaluator performs no steady-state allocation.
-  std::vector<Vec> vec_pool;
-  std::vector<Mask> mask_pool;
-  std::unordered_map<const Stmt*, std::vector<LoadSite>> store_loads;
-
-  uint64_t statements_executed = 0;
-};
-
-// Evaluates each expression node once per ACTIVE LANE SET instead of once
-// per work item: the tree is walked a single time per statement execution
-// with per-item value vectors flowing between nodes, which removes the
-// per-item dispatch overhead (and the per-item env hash lookups) that
-// dominated the item-major evaluator. Observable behaviour is identical:
-//   * op_count advances by the active-lane count at every node visit —
-//     exactly the per-(node, item) visits of the item-major walk, including
-//     lanes skipped by && / || short-circuit and by select;
-//   * on_load / on_store fire once per executed per-item access;
-//   * atomics, printf, and stores whose operands may read the stored buffer
-//     run item-sequentially (singleton masks) to preserve item-order
-//     read-modify-write semantics.
-class GroupExec {
- public:
-  GroupExec(GroupContext& ctx, const InterpOptions& options) : ctx_(ctx), options_(options) {}
-
-  Status run_block(const std::vector<StmtPtr>& block, const Mask& active, uint32_t n_active);
-
- private:
-  Status eval(const ExprPtr& e, const Mask& m, uint32_t n, Vec& out);
-  Status exec(const Stmt& s, const Mask& active, uint32_t n_active);
-  Status exec_store_sequential(const Stmt& s, const Mask& active);
-  bool store_may_alias(const Stmt& s);
-
-  Vec take_vec() {
-    if (ctx_.vec_pool.empty()) return Vec(ctx_.items, 0);
-    Vec v = std::move(ctx_.vec_pool.back());
-    ctx_.vec_pool.pop_back();
-    v.resize(ctx_.items);
-    return v;
-  }
-  void give_vec(Vec&& v) { ctx_.vec_pool.push_back(std::move(v)); }
-  Mask take_mask() {
-    if (ctx_.mask_pool.empty()) return Mask(ctx_.items, 0);
-    Mask m = std::move(ctx_.mask_pool.back());
-    ctx_.mask_pool.pop_back();
-    m.assign(ctx_.items, 0);
-    return m;
-  }
-  void give_mask(Mask&& m) { ctx_.mask_pool.push_back(std::move(m)); }
-
-  Status fail(const std::string& message) {
-    return Status(ErrorKind::kRuntimeError, ctx_.kernel->name + ": " + message);
-  }
-
-  Status buffer_access(int index, bool is_local, uint32_t elem_index, std::vector<uint32_t>** out) {
-    if (is_local) {
-      if (index < 0 || static_cast<size_t>(index) >= ctx_.locals.size()) {
-        return fail("bad local array slot " + std::to_string(index));
-      }
-      auto& array = ctx_.locals[static_cast<size_t>(index)];
-      if (elem_index >= array.size()) {
-        return fail("out-of-bounds __local access: " + ctx_.kernel->locals[index].name + "[" +
-                    std::to_string(elem_index) + "] size " + std::to_string(array.size()));
-      }
-      *out = &array;
-      return Status::ok();
-    }
-    if (index < 0 || static_cast<size_t>(index) >= ctx_.args->size()) {
-      return fail("bad buffer param " + std::to_string(index));
-    }
-    const KernelArg& arg = (*ctx_.args)[static_cast<size_t>(index)];
-    if (!arg.is_buffer || arg.data == nullptr) {
-      return fail("param " + std::to_string(index) + " is not a buffer");
-    }
-    if (elem_index >= arg.data->size()) {
-      return fail("out-of-bounds access: " + ctx_.kernel->params[index].name + "[" +
-                  std::to_string(elem_index) + "] size " + std::to_string(arg.data->size()));
-    }
-    *out = arg.data;
-    return Status::ok();
-  }
-
-  std::vector<uint32_t>& var_slot(const std::string& name) {
-    auto& slot = ctx_.env[name];
-    if (slot.size() != ctx_.items) slot.assign(ctx_.items, 0);
-    return slot;
-  }
-
-  GroupContext& ctx_;
-  const InterpOptions& options_;
-};
-
-Status GroupExec::eval(const ExprPtr& e, const Mask& m, uint32_t n, Vec& out) {
-  if (options_.op_count != nullptr) *options_.op_count += n;
-  const uint32_t items = ctx_.items;
-  out.resize(items);
-  switch (e->kind) {
-    case ExprKind::kConstInt:
-      out.assign(items, static_cast<uint32_t>(e->ival));
-      return Status::ok();
-    case ExprKind::kConstFloat:
-      out.assign(items, f2u(e->fval));
-      return Status::ok();
-    case ExprKind::kVar: {
-      auto it = ctx_.env.find(e->var);
-      if (it == ctx_.env.end()) return fail("use of undefined variable '" + e->var + "'");
-      out.assign(it->second.begin(), it->second.end());
-      return Status::ok();
-    }
-    case ExprKind::kParam: {
-      const KernelArg& arg = (*ctx_.args)[static_cast<size_t>(e->index)];
-      if (arg.is_buffer) return fail("scalar read of buffer param");
-      out.assign(items, arg.scalar_bits);
-      return Status::ok();
-    }
-    case ExprKind::kSpecial: {
-      const int d = e->index;
-      switch (e->special) {
-        case SpecialReg::kGlobalId: {
-          const uint32_t base = ctx_.group[d] * ctx_.ndrange->local[d];
-          for (uint32_t i = 0; i < items; ++i) out[i] = base + ctx_.lid[d][i];
-          break;
-        }
-        case SpecialReg::kLocalId:
-          for (uint32_t i = 0; i < items; ++i) out[i] = ctx_.lid[d][i];
-          break;
-        case SpecialReg::kGroupId: out.assign(items, ctx_.group[d]); break;
-        case SpecialReg::kGlobalSize: out.assign(items, ctx_.ndrange->global[d]); break;
-        case SpecialReg::kLocalSize: out.assign(items, ctx_.ndrange->local[d]); break;
-        case SpecialReg::kNumGroups: out.assign(items, ctx_.ndrange->num_groups(d)); break;
-      }
-      return Status::ok();
-    }
-    case ExprKind::kBinary: {
-      // Logical && / || short-circuit like C: the second operand evaluates
-      // only for lanes the first did not decide (shrinks the active mask,
-      // so op_count and load instrumentation match per-item execution).
-      if (e->bin == BinOp::kLAnd || e->bin == BinOp::kLOr) {
-        Vec ta = take_vec();
-        if (auto st = eval(e->a(), m, n, ta); !st.is_ok()) {
-          give_vec(std::move(ta));
-          return st;
-        }
-        Mask sub = take_mask();
-        uint32_t n2 = 0;
-        const bool is_and = e->bin == BinOp::kLAnd;
-        for (uint32_t i = 0; i < items; ++i) {
-          if (!m[i]) continue;
-          if (is_and ? ta[i] == 0 : ta[i] != 0) {
-            out[i] = is_and ? 0u : 1u;
-          } else {
-            sub[i] = 1;
-            ++n2;
-          }
-        }
-        Status st = Status::ok();
-        if (n2 > 0) {
-          Vec tb = take_vec();
-          st = eval(e->b(), sub, n2, tb);
-          if (st.is_ok()) {
-            for (uint32_t i = 0; i < items; ++i) {
-              if (sub[i]) out[i] = tb[i] != 0 ? 1u : 0u;
-            }
-          }
-          give_vec(std::move(tb));
-        }
-        give_mask(std::move(sub));
-        give_vec(std::move(ta));
-        return st;
-      }
-      Vec ta = take_vec();
-      Vec tb = take_vec();
-      Status st = eval(e->a(), m, n, ta);
-      if (st.is_ok()) st = eval(e->b(), m, n, tb);
-      if (!st.is_ok()) {
-        give_vec(std::move(tb));
-        give_vec(std::move(ta));
-        return st;
-      }
-      const bool flt = e->a()->type == Scalar::kF32;
-      if (flt) {
-        for (uint32_t i = 0; i < items; ++i) {
-          if (!m[i]) continue;
-          const float x = u2f(ta[i]), y = u2f(tb[i]);
-          switch (e->bin) {
-            case BinOp::kAdd: out[i] = f2u(x + y); break;
-            case BinOp::kSub: out[i] = f2u(x - y); break;
-            case BinOp::kMul: out[i] = f2u(x * y); break;
-            case BinOp::kDiv: out[i] = f2u(x / y); break;
-            case BinOp::kMin: out[i] = f2u(std::fmin(x, y)); break;
-            case BinOp::kMax: out[i] = f2u(std::fmax(x, y)); break;
-            case BinOp::kLt: out[i] = x < y; break;
-            case BinOp::kLe: out[i] = x <= y; break;
-            case BinOp::kGt: out[i] = x > y; break;
-            case BinOp::kGe: out[i] = x >= y; break;
-            case BinOp::kEq: out[i] = x == y; break;
-            case BinOp::kNe: out[i] = x != y; break;
-            default:
-              give_vec(std::move(tb));
-              give_vec(std::move(ta));
-              return fail("invalid float binary op");
-          }
-        }
-      } else {
-        for (uint32_t i = 0; i < items; ++i) {
-          if (!m[i]) continue;
-          const uint32_t a = ta[i], b = tb[i];
-          const int32_t x = static_cast<int32_t>(a), y = static_cast<int32_t>(b);
-          switch (e->bin) {
-            case BinOp::kAdd: out[i] = a + b; break;
-            case BinOp::kSub: out[i] = a - b; break;
-            case BinOp::kMul: out[i] = a * b; break;
-            case BinOp::kDiv: out[i] = static_cast<uint32_t>(div_i32(x, y)); break;
-            case BinOp::kRem: out[i] = static_cast<uint32_t>(rem_i32(x, y)); break;
-            case BinOp::kAnd: out[i] = a & b; break;
-            case BinOp::kOr: out[i] = a | b; break;
-            case BinOp::kXor: out[i] = a ^ b; break;
-            case BinOp::kShl: out[i] = a << (b & 31); break;
-            case BinOp::kShr: out[i] = static_cast<uint32_t>(x >> (b & 31)); break;
-            case BinOp::kMin: out[i] = static_cast<uint32_t>(std::min(x, y)); break;
-            case BinOp::kMax: out[i] = static_cast<uint32_t>(std::max(x, y)); break;
-            case BinOp::kLt: out[i] = x < y; break;
-            case BinOp::kLe: out[i] = x <= y; break;
-            case BinOp::kGt: out[i] = x > y; break;
-            case BinOp::kGe: out[i] = x >= y; break;
-            case BinOp::kEq: out[i] = a == b; break;
-            case BinOp::kNe: out[i] = a != b; break;
-            case BinOp::kLAnd: out[i] = (a != 0 && b != 0) ? 1 : 0; break;
-            case BinOp::kLOr: out[i] = (a != 0 || b != 0) ? 1 : 0; break;
-          }
-        }
-      }
-      give_vec(std::move(tb));
-      give_vec(std::move(ta));
-      return Status::ok();
-    }
-    case ExprKind::kUnary: {
-      Vec ta = take_vec();
-      if (auto st = eval(e->a(), m, n, ta); !st.is_ok()) {
-        give_vec(std::move(ta));
-        return st;
-      }
-      for (uint32_t i = 0; i < items; ++i) {
-        if (!m[i]) continue;
-        const uint32_t a = ta[i];
-        switch (e->un) {
-          case UnOp::kNeg:
-            out[i] = e->type == Scalar::kF32 ? f2u(-u2f(a))
-                                             : static_cast<uint32_t>(-static_cast<int32_t>(a));
-            break;
-          case UnOp::kNot: out[i] = a == 0 ? 1 : 0; break;
-          case UnOp::kAbs:
-            out[i] = e->type == Scalar::kF32
-                         ? (a & 0x7FFFFFFFu)
-                         : static_cast<uint32_t>(std::abs(static_cast<int32_t>(a)));
-            break;
-          case UnOp::kBitcastI2F:
-          case UnOp::kBitcastF2I:
-            out[i] = a;
-            break;
-        }
-      }
-      give_vec(std::move(ta));
-      return Status::ok();
-    }
-    case ExprKind::kSelect: {
-      Vec tc = take_vec();
-      if (auto st = eval(e->a(), m, n, tc); !st.is_ok()) {
-        give_vec(std::move(tc));
-        return st;
-      }
-      // Each lane evaluates only its taken arm (per-item laziness).
-      Mask mb = take_mask();
-      Mask mc = take_mask();
-      uint32_t nb = 0, nc = 0;
-      for (uint32_t i = 0; i < items; ++i) {
-        if (!m[i]) continue;
-        if (tc[i] != 0) {
-          mb[i] = 1;
-          ++nb;
-        } else {
-          mc[i] = 1;
-          ++nc;
-        }
-      }
-      Status st = Status::ok();
-      Vec tv = take_vec();
-      if (nb > 0) {
-        st = eval(e->b(), mb, nb, tv);
-        if (st.is_ok()) {
-          for (uint32_t i = 0; i < items; ++i) {
-            if (mb[i]) out[i] = tv[i];
-          }
-        }
-      }
-      if (st.is_ok() && nc > 0) {
-        st = eval(e->c(), mc, nc, tv);
-        if (st.is_ok()) {
-          for (uint32_t i = 0; i < items; ++i) {
-            if (mc[i]) out[i] = tv[i];
-          }
-        }
-      }
-      give_vec(std::move(tv));
-      give_mask(std::move(mc));
-      give_mask(std::move(mb));
-      give_vec(std::move(tc));
-      return st;
-    }
-    case ExprKind::kCast: {
-      Vec ta = take_vec();
-      if (auto st = eval(e->a(), m, n, ta); !st.is_ok()) {
-        give_vec(std::move(ta));
-        return st;
-      }
-      for (uint32_t i = 0; i < items; ++i) {
-        if (!m[i]) continue;
-        const uint32_t a = ta[i];
-        if (e->type == Scalar::kF32) {
-          out[i] = f2u(static_cast<float>(static_cast<int32_t>(a)));
-        } else {
-          const float f = u2f(a);
-          // Match fcvt.w.s truncation with clamping.
-          if (std::isnan(f)) {
-            out[i] = 0x7FFFFFFFu;
-          } else if (f <= -2147483648.0f) {
-            out[i] = 0x80000000u;
-          } else if (f >= 2147483648.0f) {
-            out[i] = 0x7FFFFFFFu;
-          } else {
-            out[i] = static_cast<uint32_t>(static_cast<int32_t>(f));
-          }
-        }
-      }
-      give_vec(std::move(ta));
-      return Status::ok();
-    }
-    case ExprKind::kLoad: {
-      Vec ti = take_vec();
-      if (auto st = eval(e->a(), m, n, ti); !st.is_ok()) {
-        give_vec(std::move(ti));
-        return st;
-      }
-      for (uint32_t i = 0; i < items; ++i) {
-        if (!m[i]) continue;
-        std::vector<uint32_t>* data = nullptr;
-        if (auto st = buffer_access(e->index, e->is_local, ti[i], &data); !st.is_ok()) {
-          give_vec(std::move(ti));
-          return st;
-        }
-        if (options_.on_load) options_.on_load(e.get());
-        if (options_.on_load_addr) options_.on_load_addr(e.get(), e->index, e->is_local, ti[i]);
-        out[i] = (*data)[ti[i]];
-      }
-      give_vec(std::move(ti));
-      return Status::ok();
-    }
-    case ExprKind::kCall: {
-      Vec ta = take_vec();
-      Status st = eval(e->args[0], m, n, ta);
-      Vec tb = take_vec();
-      if (st.is_ok() && e->call == Builtin::kPowi) st = eval(e->args[1], m, n, tb);
-      if (!st.is_ok()) {
-        give_vec(std::move(tb));
-        give_vec(std::move(ta));
-        return st;
-      }
-      for (uint32_t i = 0; i < items; ++i) {
-        if (!m[i]) continue;
-        const float x = u2f(ta[i]);
-        switch (e->call) {
-          case Builtin::kSqrt: out[i] = f2u(std::sqrt(x)); break;
-          case Builtin::kRsqrt: out[i] = f2u(1.0f / std::sqrt(x)); break;
-          case Builtin::kExp: out[i] = f2u(std::exp(x)); break;
-          case Builtin::kLog: out[i] = f2u(std::log(x)); break;
-          case Builtin::kFloor: out[i] = f2u(std::floor(x)); break;
-          case Builtin::kPowi: {
-            int32_t pow_n = static_cast<int32_t>(tb[i]);
-            float base = x, result = 1.0f;
-            const bool invert = pow_n < 0;
-            if (invert) pow_n = -pow_n;
-            while (pow_n > 0) {
-              if (pow_n & 1) result *= base;
-              base *= base;
-              pow_n >>= 1;
-            }
-            out[i] = f2u(invert ? 1.0f / result : result);
-            break;
-          }
-        }
-      }
-      give_vec(std::move(tb));
-      give_vec(std::move(ta));
-      return Status::ok();
-    }
-  }
-  return fail("unreachable expression kind");
+// fcvt.w.s: truncation with clamping, NaN to INT_MAX.
+uint32_t f2i(uint32_t bits) {
+  const float f = u2f(bits);
+  if (std::isnan(f)) return 0x7FFFFFFFu;
+  if (f <= -2147483648.0f) return 0x80000000u;
+  if (f >= 2147483648.0f) return 0x7FFFFFFFu;
+  return static_cast<uint32_t>(static_cast<int32_t>(f));
 }
 
-void collect_loads(const ExprPtr& e, std::vector<LoadSite>& out) {
-  if (e->kind == ExprKind::kLoad) out.push_back(LoadSite{e->index, e->is_local});
-  for (const auto& arg : e->args) collect_loads(arg, out);
+float powi(float base, int32_t n) {
+  uint32_t magnitude = n < 0 ? 0u - static_cast<uint32_t>(n) : static_cast<uint32_t>(n);
+  float result = 1.0f;
+  while (magnitude > 0) {
+    if (magnitude & 1) result *= base;
+    base *= base;
+    magnitude >>= 1;
+  }
+  return n < 0 ? 1.0f / result : result;
+}
+
+// Element-wise loops over the lane range [lo, hi). Lanes outside the mask
+// are computed too (their values are never read), so every op passed here
+// must be total on arbitrary bits.
+template <typename F>
+void map1(uint32_t* __restrict out, const uint32_t* __restrict a, uint32_t lo, uint32_t hi, F f) {
+  for (uint32_t i = lo; i < hi; ++i) out[i] = f(a[i]);
+}
+template <typename F>
+void map2(uint32_t* __restrict out, const uint32_t* __restrict a, const uint32_t* __restrict b,
+          uint32_t lo, uint32_t hi, F f) {
+  for (uint32_t i = lo; i < hi; ++i) out[i] = f(a[i], b[i]);
+}
+template <typename F>
+void mapf2(uint32_t* __restrict out, const uint32_t* __restrict a, const uint32_t* __restrict b,
+           uint32_t lo, uint32_t hi, F f) {
+  for (uint32_t i = lo; i < hi; ++i) out[i] = f(u2f(a[i]), u2f(b[i]));
+}
+
+// Active lanes of a mask, with the tight range [lo, hi) that holds them.
+struct Lanes {
+  uint32_t n = 0, lo = 0, hi = 0;
+};
+
+// Writes out[i] = m[i] && pred(i) over [lo, hi).
+template <typename P>
+Lanes narrow(const uint8_t* m, uint32_t lo, uint32_t hi, uint8_t* out, P pred) {
+  Lanes l{0, hi, lo};
+  for (uint32_t i = lo; i < hi; ++i) {
+    const bool on = m[i] && pred(i);
+    out[i] = on;
+    if (on) {
+      ++l.n;
+      l.lo = std::min(l.lo, i);
+      l.hi = i + 1;
+    }
+  }
+  return l;
+}
+
+// One run of a program and its per-launch state. A mask is only
+// meaningful inside the lane range passed with it. eval returns the node's
+// per-lane values — its own buffer, or the variable slot or id array it
+// reads — and null on failure, with the error in error_.
+class Run {
+ public:
+  Run(const Program& p, const std::vector<KernelArg>& args, const NDRange& ndrange,
+      const InterpOptions& options, InterpWork& work, std::vector<uint64_t>& site_counts)
+      : p_(p),
+        kernel_(*p.kernel),
+        args_(args),
+        ndrange_(ndrange),
+        options_(options),
+        work_(work),
+        site_counts_(site_counts),
+        items_(ndrange.local_items()) {}
+
+  Status run();
+
+ private:
+  uint32_t* value(uint32_t node) { return values_.data() + size_t{node} * items_; }
+  uint8_t* mask(uint32_t id) { return masks_.data() + size_t{id} * items_; }
+
+  // Variables exist from their first assignment in a group on, zero-filled.
+  uint32_t* define(uint32_t slot) {
+    uint32_t* v = vars_.data() + size_t{slot} * items_;
+    if (var_group_[slot] != group_serial_) {
+      std::fill_n(v, items_, 0u);
+      var_group_[slot] = group_serial_;
+    }
+    return v;
+  }
+
+  bool fail(const std::string& message) {
+    error_ = Status(ErrorKind::kRuntimeError, kernel_.name + ": " + message);
+    return false;
+  }
+
+  std::vector<uint32_t>* target(int index, bool is_local);
+  bool out_of_bounds(int index, bool is_local, uint32_t elem, size_t size);
+  bool store_may_alias(const Program::Statement& s) const;
+
+  const uint32_t* eval(uint32_t id, const uint8_t* m, uint32_t n, uint32_t lo, uint32_t hi);
+  bool exec_block(uint32_t begin, uint32_t end, const uint8_t* m, uint32_t n, uint32_t lo,
+                  uint32_t hi);
+  bool exec(uint32_t id, const uint8_t* m, uint32_t n, uint32_t lo, uint32_t hi);
+  bool exec_store(uint32_t id, const uint8_t* m, uint32_t n, uint32_t lo, uint32_t hi);
+  bool exec_atomic(const Program::Statement& s, const uint8_t* m, uint32_t lo, uint32_t hi);
+  bool exec_print(const Program::Statement& s, const uint8_t* m, uint32_t lo, uint32_t hi);
+
+  const Program& p_;
+  const Kernel& kernel_;
+  const std::vector<KernelArg>& args_;
+  const NDRange& ndrange_;
+  const InterpOptions& options_;
+  InterpWork& work_;
+  std::vector<uint64_t>& site_counts_;
+  const uint32_t items_;
+
+  // One output buffer per node, one slot per variable and one mask per
+  // mask owner, each `items_` lanes wide.
+  std::vector<uint32_t> values_;
+  std::vector<uint32_t> vars_;
+  std::vector<uint8_t> masks_;
+  std::vector<std::vector<uint32_t>> locals_;
+  std::vector<uint32_t> lid_[3], gid_[3], grp_[3];
+  std::vector<uint64_t> var_group_;  // group serial of each slot's definition
+  uint64_t group_serial_ = 0;
+  std::vector<uint8_t> sequential_;  // per statement: a store that may alias
+  std::vector<uint8_t> full_;
+  uint64_t statements_ = 0;
+  Status error_;
+};
+
+// The storage a load or store targets; null (with the error set) when the
+// index names no buffer.
+std::vector<uint32_t>* Run::target(int index, bool is_local) {
+  if (is_local) {
+    if (index < 0 || static_cast<size_t>(index) >= locals_.size()) {
+      fail("bad local array slot " + std::to_string(index));
+      return nullptr;
+    }
+    return &locals_[static_cast<size_t>(index)];
+  }
+  if (index < 0 || static_cast<size_t>(index) >= args_.size()) {
+    fail("bad buffer param " + std::to_string(index));
+    return nullptr;
+  }
+  const KernelArg& arg = args_[static_cast<size_t>(index)];
+  if (!arg.is_buffer || arg.data == nullptr) {
+    fail("param " + std::to_string(index) + " is not a buffer");
+    return nullptr;
+  }
+  return arg.data;
+}
+
+bool Run::out_of_bounds(int index, bool is_local, uint32_t elem, size_t size) {
+  if (is_local) {
+    return fail("out-of-bounds __local access: " + kernel_.locals[index].name + "[" +
+                std::to_string(elem) + "] size " + std::to_string(size));
+  }
+  return fail("out-of-bounds access: " + kernel_.params[index].name + "[" + std::to_string(elem) +
+              "] size " + std::to_string(size));
 }
 
 // True when a load in the store's index/value expressions may read the
-// stored buffer (including two buffer params bound to the same host
-// vector): those stores must execute item-sequentially so later items
-// observe earlier items' writes, exactly like the item-major evaluator.
-bool GroupExec::store_may_alias(const Stmt& s) {
-  auto [it, inserted] = ctx_.store_loads.try_emplace(&s);
-  if (inserted) {
-    collect_loads(s.a, it->second);
-    collect_loads(s.b, it->second);
-  }
-  if (it->second.empty()) return false;
-  const std::vector<uint32_t>* target = nullptr;
-  if (s.is_local) {
-    if (s.buffer < 0 || static_cast<size_t>(s.buffer) >= ctx_.locals.size()) return true;
-    target = &ctx_.locals[static_cast<size_t>(s.buffer)];
-  } else {
-    if (s.buffer < 0 || static_cast<size_t>(s.buffer) >= ctx_.args->size()) return true;
-    const KernelArg& arg = (*ctx_.args)[static_cast<size_t>(s.buffer)];
-    if (!arg.is_buffer || arg.data == nullptr) return true;
-    target = arg.data;
-  }
-  for (const LoadSite& site : it->second) {
-    const std::vector<uint32_t>* src = nullptr;
-    if (site.is_local) {
-      if (site.index < 0 || static_cast<size_t>(site.index) >= ctx_.locals.size()) return true;
-      src = &ctx_.locals[static_cast<size_t>(site.index)];
-    } else {
-      if (site.index < 0 || static_cast<size_t>(site.index) >= ctx_.args->size()) return true;
-      const KernelArg& arg = (*ctx_.args)[static_cast<size_t>(site.index)];
-      if (!arg.is_buffer || arg.data == nullptr) return true;
-      src = arg.data;
+// stored buffer (including two buffer params bound to the same host vector,
+// and an index that names no buffer).
+bool Run::store_may_alias(const Program::Statement& s) const {
+  if (s.list == s.list_end) return false;
+  auto identity = [&](int index, bool is_local) -> const void* {
+    if (is_local) {
+      if (index < 0 || static_cast<size_t>(index) >= locals_.size()) return nullptr;
+      return &locals_[static_cast<size_t>(index)];
     }
-    if (src == target) return true;
+    if (index < 0 || static_cast<size_t>(index) >= args_.size()) return nullptr;
+    const KernelArg& arg = args_[static_cast<size_t>(index)];
+    return arg.is_buffer ? arg.data : nullptr;
+  };
+  const void* stored = identity(s.buffer, s.is_local);
+  if (stored == nullptr) return true;
+  for (uint32_t k = s.list; k < s.list_end; ++k) {
+    const void* loaded = identity(p_.alias_loads[k].index, p_.alias_loads[k].is_local);
+    if (loaded == nullptr || loaded == stored) return true;
   }
   return false;
 }
 
-Status GroupExec::exec_store_sequential(const Stmt& s, const Mask& active) {
-  Mask single = take_mask();
-  Vec ti = take_vec();
-  Vec tv = take_vec();
-  Status st = Status::ok();
-  for (uint32_t i = 0; i < ctx_.items && st.is_ok(); ++i) {
-    if (!active[i]) continue;
-    single[i] = 1;
-    st = eval(s.a, single, 1, ti);
-    if (st.is_ok()) st = eval(s.b, single, 1, tv);
-    if (st.is_ok()) {
-      std::vector<uint32_t>* data = nullptr;
-      st = buffer_access(s.buffer, s.is_local, ti[i], &data);
-      if (st.is_ok()) {
-        if (options_.on_store) options_.on_store(&s);
-        (*data)[ti[i]] = tv[i];
+const uint32_t* Run::eval(uint32_t id, const uint8_t* m, uint32_t n, uint32_t lo, uint32_t hi) {
+  ++work_.node_visits;
+  work_.lane_ops += n;
+  const Program::Node& e = p_.nodes[id];
+  uint32_t* out = value(id);
+  const uint32_t* a = nullptr;
+  const uint32_t* b = nullptr;
+  switch (e.op) {
+    case Op::kConst:
+    case Op::kGlobalSize:
+    case Op::kLocalSize:
+    case Op::kNumGroups:
+      return out;  // filled when the run started
+    case Op::kParam:
+      if (static_cast<size_t>(e.index) >= args_.size() ||
+          args_[static_cast<size_t>(e.index)].is_buffer) {
+        fail("scalar read of buffer param");
+        return nullptr;
       }
+      return out;
+    case Op::kVar:
+      if (var_group_[static_cast<size_t>(e.index)] != group_serial_) {
+        fail("use of undefined variable '" + p_.var_names[static_cast<size_t>(e.index)] + "'");
+        return nullptr;
+      }
+      return vars_.data() + static_cast<size_t>(e.index) * items_;
+    case Op::kGlobalId: return gid_[e.dim].data();
+    case Op::kLocalId: return lid_[e.dim].data();
+    case Op::kGroupId: return grp_[e.dim].data();
+    case Op::kLAnd:
+    case Op::kLOr: {
+      // C short-circuit: the right operand evaluates only for the lanes the
+      // left one did not decide.
+      if ((a = eval(e.args[0], m, n, lo, hi)) == nullptr) return nullptr;
+      const bool is_and = e.op == Op::kLAnd;
+      std::fill(out + lo, out + hi, is_and ? 0u : 1u);
+      uint8_t* rest = mask(e.mask);
+      const Lanes r = narrow(m, lo, hi, rest, [&](uint32_t i) { return (a[i] != 0) == is_and; });
+      if (r.n > 0) {
+        if ((b = eval(e.args[1], rest, r.n, r.lo, r.hi)) == nullptr) return nullptr;
+        for (uint32_t i = r.lo; i < r.hi; ++i) {
+          if (rest[i]) out[i] = b[i] != 0 ? 1u : 0u;
+        }
+      }
+      return out;
     }
-    single[i] = 0;
+    case Op::kSelect: {
+      // Each lane evaluates only its taken arm.
+      if ((a = eval(e.args[0], m, n, lo, hi)) == nullptr) return nullptr;
+      for (int arm = 0; arm < 2; ++arm) {
+        uint8_t* arm_mask = mask(e.mask + static_cast<uint32_t>(arm));
+        const Lanes l =
+            narrow(m, lo, hi, arm_mask, [&](uint32_t i) { return (a[i] != 0) == (arm == 0); });
+        if (l.n == 0) continue;
+        if ((b = eval(e.args[1 + arm], arm_mask, l.n, l.lo, l.hi)) == nullptr) return nullptr;
+        for (uint32_t i = l.lo; i < l.hi; ++i) {
+          if (arm_mask[i]) out[i] = b[i];
+        }
+      }
+      return out;
+    }
+    case Op::kLoad: {
+      if ((a = eval(e.args[0], m, n, lo, hi)) == nullptr) return nullptr;
+      const std::vector<uint32_t>* data = target(e.index, e.is_local);
+      if (data == nullptr) return nullptr;
+      uint64_t done = 0;
+      bool ok = true;
+      for (uint32_t i = lo; i < hi; ++i) {
+        if (!m[i]) continue;
+        const uint32_t elem = a[i];
+        if (elem >= data->size()) {
+          ok = out_of_bounds(e.index, e.is_local, elem, data->size());
+          break;
+        }
+        ++done;
+        if (options_.on_load_addr) options_.on_load_addr(e.origin, e.index, e.is_local, elem);
+        out[i] = (*data)[elem];
+      }
+      work_.loads += done;
+      site_counts_[e.site] += done;
+      return ok ? out : nullptr;
+    }
+    default:
+      break;
   }
-  give_vec(std::move(tv));
-  give_vec(std::move(ti));
-  give_mask(std::move(single));
-  return st;
+
+  // Element-wise ops: operands in tree order, then one loop over the lanes.
+  if ((a = eval(e.args[0], m, n, lo, hi)) == nullptr) return nullptr;
+  if (e.args[1] != Program::kNone && (b = eval(e.args[1], m, n, lo, hi)) == nullptr) {
+    return nullptr;
+  }
+  using U = uint32_t;
+  auto unary = [&](auto f) { map1(out, a, lo, hi, f); };
+  auto binary = [&](auto f) { map2(out, a, b, lo, hi, f); };
+  auto fbinary = [&](auto f) { mapf2(out, a, b, lo, hi, f); };
+  switch (e.op) {
+    case Op::kAdd: binary([](U x, U y) { return x + y; }); break;
+    case Op::kSub: binary([](U x, U y) { return x - y; }); break;
+    case Op::kMul: binary([](U x, U y) { return x * y; }); break;
+    case Op::kDiv: binary([](U x, U y) { return U(div_i32(s32(x), s32(y))); }); break;
+    case Op::kRem: binary([](U x, U y) { return U(rem_i32(s32(x), s32(y))); }); break;
+    case Op::kAnd: binary([](U x, U y) { return x & y; }); break;
+    case Op::kOr: binary([](U x, U y) { return x | y; }); break;
+    case Op::kXor: binary([](U x, U y) { return x ^ y; }); break;
+    case Op::kShl: binary([](U x, U y) { return x << (y & 31); }); break;
+    case Op::kShr: binary([](U x, U y) { return U(s32(x) >> (y & 31)); }); break;
+    case Op::kMin: binary([](U x, U y) { return U(std::min(s32(x), s32(y))); }); break;
+    case Op::kMax: binary([](U x, U y) { return U(std::max(s32(x), s32(y))); }); break;
+    case Op::kLt: binary([](U x, U y) { return U(s32(x) < s32(y)); }); break;
+    case Op::kLe: binary([](U x, U y) { return U(s32(x) <= s32(y)); }); break;
+    case Op::kGt: binary([](U x, U y) { return U(s32(x) > s32(y)); }); break;
+    case Op::kGe: binary([](U x, U y) { return U(s32(x) >= s32(y)); }); break;
+    case Op::kEq: binary([](U x, U y) { return U(x == y); }); break;
+    case Op::kNe: binary([](U x, U y) { return U(x != y); }); break;
+    case Op::kFAdd: fbinary([](float x, float y) { return f2u(x + y); }); break;
+    case Op::kFSub: fbinary([](float x, float y) { return f2u(x - y); }); break;
+    case Op::kFMul: fbinary([](float x, float y) { return f2u(x * y); }); break;
+    case Op::kFDiv: fbinary([](float x, float y) { return f2u(x / y); }); break;
+    case Op::kFMin: fbinary([](float x, float y) { return f2u(std::fmin(x, y)); }); break;
+    case Op::kFMax: fbinary([](float x, float y) { return f2u(std::fmax(x, y)); }); break;
+    case Op::kFLt: fbinary([](float x, float y) { return U(x < y); }); break;
+    case Op::kFLe: fbinary([](float x, float y) { return U(x <= y); }); break;
+    case Op::kFGt: fbinary([](float x, float y) { return U(x > y); }); break;
+    case Op::kFGe: fbinary([](float x, float y) { return U(x >= y); }); break;
+    case Op::kFEq: fbinary([](float x, float y) { return U(x == y); }); break;
+    case Op::kFNe: fbinary([](float x, float y) { return U(x != y); }); break;
+    case Op::kFInvalid: fail("invalid float binary op"); return nullptr;
+    case Op::kNeg: unary([](U x) { return 0u - x; }); break;
+    case Op::kFNeg: unary([](U x) { return x ^ 0x80000000u; }); break;
+    case Op::kNot: unary([](U x) { return U(x == 0); }); break;
+    case Op::kAbs: unary([](U x) { return s32(x) < 0 ? 0u - x : x; }); break;
+    case Op::kFAbs: unary([](U x) { return x & 0x7FFFFFFFu; }); break;
+    case Op::kBitcast: return a;
+    case Op::kI2F: unary([](U x) { return f2u(static_cast<float>(s32(x))); }); break;
+    case Op::kF2I: unary(f2i); break;
+    case Op::kSqrt: unary([](U x) { return f2u(std::sqrt(u2f(x))); }); break;
+    case Op::kRsqrt: unary([](U x) { return f2u(1.0f / std::sqrt(u2f(x))); }); break;
+    case Op::kExp: unary([](U x) { return f2u(std::exp(u2f(x))); }); break;
+    case Op::kLog: unary([](U x) { return f2u(std::log(u2f(x))); }); break;
+    case Op::kFloor: unary([](U x) { return f2u(std::floor(u2f(x))); }); break;
+    case Op::kPowi:
+      // Data-dependent trip count: active lanes only.
+      for (uint32_t i = lo; i < hi; ++i) {
+        if (m[i]) out[i] = f2u(powi(u2f(a[i]), s32(b[i])));
+      }
+      break;
+    default: fail("unreachable expression kind"); return nullptr;
+  }
+  return out;
 }
 
-Status GroupExec::exec(const Stmt& s, const Mask& active, uint32_t n_active) {
-  if (++ctx_.statements_executed > options_.max_statements) {
+bool Run::exec_block(uint32_t begin, uint32_t end, const uint8_t* m, uint32_t n, uint32_t lo,
+                     uint32_t hi) {
+  for (uint32_t s = begin; s < end; ++s) {
+    if (!exec(s, m, n, lo, hi)) return false;
+  }
+  return true;
+}
+
+// A store that may read what it writes runs item by item (one-lane ranges),
+// so later items observe earlier items' writes.
+bool Run::exec_store(uint32_t id, const uint8_t* m, uint32_t n, uint32_t lo, uint32_t hi) {
+  const Program::Statement& s = p_.statements[id];
+  const bool sequential = sequential_[id] != 0;
+  for (uint32_t first = lo; first < hi;) {
+    uint32_t last = hi, count = n;
+    if (sequential) {
+      while (!m[first]) {
+        if (++first == hi) return true;
+      }
+      last = first + 1;
+      count = 1;
+    }
+    const uint32_t* index = eval(s.a, m, count, first, last);
+    if (index == nullptr) return false;
+    const uint32_t* val = eval(s.b, m, count, first, last);
+    if (val == nullptr) return false;
+    std::vector<uint32_t>* data = target(s.buffer, s.is_local);
+    if (data == nullptr) return false;
+    for (uint32_t i = first; i < last; ++i) {
+      if (!m[i]) continue;
+      if (index[i] >= data->size()) {
+        return out_of_bounds(s.buffer, s.is_local, index[i], data->size());
+      }
+      ++work_.stores;
+      ++site_counts_[s.site];
+      (*data)[index[i]] = val[i];
+    }
+    first = last;
+  }
+  return true;
+}
+
+// Item by item so each read-modify-write observes every earlier item's
+// update (tests assert ticket ordering).
+bool Run::exec_atomic(const Program::Statement& s, const uint8_t* m, uint32_t lo, uint32_t hi) {
+  uint32_t* result = s.var == Program::kNone ? nullptr : define(s.var);
+  for (uint32_t i = lo; i < hi; ++i) {
+    if (!m[i]) continue;
+    const uint32_t* index = eval(s.a, m, 1, i, i + 1);
+    if (index == nullptr) return false;
+    const uint32_t* val = eval(s.b, m, 1, i, i + 1);
+    if (val == nullptr) return false;
+    std::vector<uint32_t>* data = target(s.buffer, s.is_local);
+    if (data == nullptr) return false;
+    if (index[i] >= data->size()) {
+      return out_of_bounds(s.buffer, s.is_local, index[i], data->size());
+    }
+    ++work_.stores;
+    ++site_counts_[s.site];
+    const uint32_t old = (*data)[index[i]];
+    const uint32_t operand = val[i];
+    uint32_t next = old;
+    switch (s.atomic) {
+      case AtomicOp::kAdd: next = old + operand; break;
+      case AtomicOp::kMin: next = static_cast<uint32_t>(std::min(s32(old), s32(operand))); break;
+      case AtomicOp::kMax: next = static_cast<uint32_t>(std::max(s32(old), s32(operand))); break;
+      case AtomicOp::kAnd: next = old & operand; break;
+      case AtomicOp::kOr: next = old | operand; break;
+      case AtomicOp::kXor: next = old ^ operand; break;
+      case AtomicOp::kExchange: next = operand; break;
+      case AtomicOp::kCmpxchg: {
+        const uint32_t* expected = eval(s.c, m, 1, i, i + 1);
+        if (expected == nullptr) return false;
+        next = old == expected[i] ? operand : old;
+        break;
+      }
+    }
+    (*data)[index[i]] = next;
+    if (result != nullptr) result[i] = old;
+  }
+  return true;
+}
+
+bool Run::exec_print(const Program::Statement& s, const uint8_t* m, uint32_t lo, uint32_t hi) {
+  const std::string& fmt = s.origin->text;
+  for (uint32_t i = lo; i < hi; ++i) {
+    if (!m[i]) continue;
+    std::string rendered;
+    uint32_t arg = s.list;
+    for (size_t p = 0; p < fmt.size(); ++p) {
+      if (fmt[p] != '%' || p + 1 == fmt.size()) {
+        rendered += fmt[p];
+        continue;
+      }
+      const char spec = fmt[++p];
+      if (spec == '%') {
+        rendered += '%';
+        continue;
+      }
+      uint32_t value = 0;
+      if (arg < s.list_end) {
+        const uint32_t* v = eval(p_.print_args[arg++], m, 1, i, i + 1);
+        if (v == nullptr) return false;
+        value = v[i];
+      }
+      char buf[48];
+      switch (spec) {
+        case 'd': std::snprintf(buf, sizeof(buf), "%d", s32(value)); break;
+        case 'u': std::snprintf(buf, sizeof(buf), "%u", value); break;
+        case 'x': std::snprintf(buf, sizeof(buf), "%x", value); break;
+        case 'f': std::snprintf(buf, sizeof(buf), "%f", u2f(value)); break;
+        default: std::snprintf(buf, sizeof(buf), "%%%c", spec); break;
+      }
+      rendered += buf;
+    }
+    if (!rendered.empty() && rendered.back() == '\n') rendered.pop_back();
+    if (options_.print_sink) options_.print_sink(rendered);
+  }
+  return true;
+}
+
+bool Run::exec(uint32_t id, const uint8_t* m, uint32_t n, uint32_t lo, uint32_t hi) {
+  if (++statements_ > options_.max_statements) {
     return fail("statement budget exceeded (runaway kernel?)");
   }
+  const Program::Statement& s = p_.statements[id];
   switch (s.kind) {
     case StmtKind::kLet:
     case StmtKind::kAssign: {
-      // Create the slot before evaluating so a self-referencing initializer
+      // Define the slot before evaluating so a self-referencing initializer
       // reads the zero-filled slot instead of failing as undefined.
-      auto& slot = var_slot(s.var);
-      Vec tmp = take_vec();
-      Status st = eval(s.a, active, n_active, tmp);
-      if (st.is_ok()) {
-        for (uint32_t i = 0; i < ctx_.items; ++i) {
-          if (active[i]) slot[i] = tmp[i];
-        }
-      }
-      give_vec(std::move(tmp));
-      return st;
+      uint32_t* slot = define(s.var);
+      const uint32_t* v = eval(s.a, m, n, lo, hi);
+      if (v == nullptr) return false;
+      for (uint32_t i = lo; i < hi; ++i) slot[i] = m[i] ? v[i] : slot[i];
+      return true;
     }
-    case StmtKind::kStore: {
-      if (store_may_alias(s)) return exec_store_sequential(s, active);
-      Vec ti = take_vec();
-      Vec tv = take_vec();
-      Status st = eval(s.a, active, n_active, ti);
-      if (st.is_ok()) st = eval(s.b, active, n_active, tv);
-      for (uint32_t i = 0; i < ctx_.items && st.is_ok(); ++i) {
-        if (!active[i]) continue;
-        std::vector<uint32_t>* data = nullptr;
-        st = buffer_access(s.buffer, s.is_local, ti[i], &data);
-        if (st.is_ok()) {
-          if (options_.on_store) options_.on_store(&s);
-          (*data)[ti[i]] = tv[i];
-        }
-      }
-      give_vec(std::move(tv));
-      give_vec(std::move(ti));
-      return st;
-    }
+    case StmtKind::kStore: return exec_store(id, m, n, lo, hi);
     case StmtKind::kIf: {
-      Vec tc = take_vec();
-      if (auto st = eval(s.a, active, n_active, tc); !st.is_ok()) {
-        give_vec(std::move(tc));
-        return st;
-      }
-      Mask then_mask = take_mask();
-      Mask else_mask = take_mask();
-      uint32_t n_then = 0, n_else = 0;
-      for (uint32_t i = 0; i < ctx_.items; ++i) {
-        if (!active[i]) continue;
-        if (tc[i] != 0) {
-          then_mask[i] = 1;
-          ++n_then;
-        } else {
-          else_mask[i] = 1;
-          ++n_else;
-        }
-      }
-      give_vec(std::move(tc));
-      Status st = Status::ok();
-      if (n_then > 0) st = run_block(s.body, then_mask, n_then);
-      if (st.is_ok() && n_else > 0 && !s.else_body.empty()) {
-        st = run_block(s.else_body, else_mask, n_else);
-      }
-      give_mask(std::move(else_mask));
-      give_mask(std::move(then_mask));
-      return st;
+      const uint32_t* c = eval(s.a, m, n, lo, hi);
+      if (c == nullptr) return false;
+      uint8_t* then_mask = mask(s.mask);
+      uint8_t* else_mask = mask(s.mask + 1);
+      const Lanes t = narrow(m, lo, hi, then_mask, [&](uint32_t i) { return c[i] != 0; });
+      const Lanes f = narrow(m, lo, hi, else_mask, [&](uint32_t i) { return c[i] == 0; });
+      if (t.n > 0 && !exec_block(s.body, s.body_end, then_mask, t.n, t.lo, t.hi)) return false;
+      return f.n == 0 || exec_block(s.else_body, s.else_end, else_mask, f.n, f.lo, f.hi);
     }
     case StmtKind::kFor: {
-      auto& var = var_slot(s.var);
-      Vec tmp = take_vec();
-      Status st = eval(s.a, active, n_active, tmp);
-      if (!st.is_ok()) {
-        give_vec(std::move(tmp));
-        return st;
-      }
-      for (uint32_t i = 0; i < ctx_.items; ++i) {
-        if (active[i]) var[i] = tmp[i];
-      }
-      Mask loop_mask = take_mask();
-      while (st.is_ok()) {
-        // Loop iterations count against the statement budget even when the
-        // body is empty, so runaway loops always trip the guard.
-        if (++ctx_.statements_executed > options_.max_statements) {
-          st = fail("statement budget exceeded (runaway kernel?)");
-          break;
+      uint32_t* v = define(s.var);
+      const uint32_t* init = eval(s.a, m, n, lo, hi);
+      if (init == nullptr) return false;
+      for (uint32_t i = lo; i < hi; ++i) v[i] = m[i] ? init[i] : v[i];
+      uint8_t* loop = mask(s.mask);
+      while (true) {
+        // Iterations count against the statement budget even when the body
+        // is empty, so runaway loops always trip the guard.
+        if (++statements_ > options_.max_statements) {
+          return fail("statement budget exceeded (runaway kernel?)");
         }
         // The bound re-evaluates for every still-active item each
         // iteration, matching per-item execution.
-        st = eval(s.b, active, n_active, tmp);
-        if (!st.is_ok()) break;
-        uint32_t n_loop = 0;
-        for (uint32_t i = 0; i < ctx_.items; ++i) {
-          loop_mask[i] = 0;
-          if (!active[i]) continue;
-          if (static_cast<int32_t>(var[i]) < static_cast<int32_t>(tmp[i])) {
-            loop_mask[i] = 1;
-            ++n_loop;
-          }
-        }
-        if (n_loop == 0) break;
-        st = run_block(s.body, loop_mask, n_loop);
-        if (!st.is_ok()) break;
-        st = eval(s.c, loop_mask, n_loop, tmp);
-        if (!st.is_ok()) break;
-        for (uint32_t i = 0; i < ctx_.items; ++i) {
-          if (loop_mask[i]) var[i] += tmp[i];
-        }
+        const uint32_t* bound = eval(s.b, m, n, lo, hi);
+        if (bound == nullptr) return false;
+        const Lanes l =
+            narrow(m, lo, hi, loop, [&](uint32_t i) { return s32(v[i]) < s32(bound[i]); });
+        if (l.n == 0) return true;
+        if (!exec_block(s.body, s.body_end, loop, l.n, l.lo, l.hi)) return false;
+        const uint32_t* step = eval(s.c, loop, l.n, l.lo, l.hi);
+        if (step == nullptr) return false;
+        for (uint32_t i = l.lo; i < l.hi; ++i) v[i] += loop[i] ? step[i] : 0u;
       }
-      give_mask(std::move(loop_mask));
-      give_vec(std::move(tmp));
-      return st;
     }
     case StmtKind::kWhile: {
-      Vec tc = take_vec();
-      Mask loop_mask = take_mask();
-      Status st = Status::ok();
-      while (st.is_ok()) {
-        if (++ctx_.statements_executed > options_.max_statements) {
-          st = fail("statement budget exceeded (runaway kernel?)");
-          break;
+      uint8_t* loop = mask(s.mask);
+      while (true) {
+        if (++statements_ > options_.max_statements) {
+          return fail("statement budget exceeded (runaway kernel?)");
         }
-        st = eval(s.a, active, n_active, tc);
-        if (!st.is_ok()) break;
-        uint32_t n_loop = 0;
-        for (uint32_t i = 0; i < ctx_.items; ++i) {
-          loop_mask[i] = 0;
-          if (!active[i]) continue;
-          if (tc[i] != 0) {
-            loop_mask[i] = 1;
-            ++n_loop;
-          }
-        }
-        if (n_loop == 0) break;
-        st = run_block(s.body, loop_mask, n_loop);
+        const uint32_t* c = eval(s.a, m, n, lo, hi);
+        if (c == nullptr) return false;
+        const Lanes l = narrow(m, lo, hi, loop, [&](uint32_t i) { return c[i] != 0; });
+        if (l.n == 0) return true;
+        if (!exec_block(s.body, s.body_end, loop, l.n, l.lo, l.hi)) return false;
       }
-      give_mask(std::move(loop_mask));
-      give_vec(std::move(tc));
-      return st;
     }
-    case StmtKind::kBarrier: {
-      // OpenCL requires barriers to be reached by every item of the group.
-      if (n_active != ctx_.items) {
-        return fail("barrier reached under divergent control flow (OpenCL UB)");
-      }
-      return Status::ok();  // lockstep execution: nothing to synchronize
-    }
-    case StmtKind::kAtomic: {
-      // Item-sequential so each item's read-modify-write observes every
-      // earlier item's update (tests assert ticket ordering).
-      std::vector<uint32_t>* result = s.result_var.empty() ? nullptr : &var_slot(s.result_var);
-      Mask single = take_mask();
-      Vec ti = take_vec();
-      Vec tv = take_vec();
-      Status st = Status::ok();
-      for (uint32_t i = 0; i < ctx_.items && st.is_ok(); ++i) {
-        if (!active[i]) continue;
-        single[i] = 1;
-        st = eval(s.a, single, 1, ti);
-        if (st.is_ok()) st = eval(s.b, single, 1, tv);
-        std::vector<uint32_t>* data = nullptr;
-        if (st.is_ok()) st = buffer_access(s.buffer, s.is_local, ti[i], &data);
-        if (st.is_ok()) {
-          if (options_.on_store) options_.on_store(&s);
-          const uint32_t old = (*data)[ti[i]];
-          const uint32_t operand = tv[i];
-          uint32_t next = old;
-          switch (s.atomic) {
-            case AtomicOp::kAdd: next = old + operand; break;
-            case AtomicOp::kMin:
-              next = static_cast<uint32_t>(
-                  std::min(static_cast<int32_t>(old), static_cast<int32_t>(operand)));
-              break;
-            case AtomicOp::kMax:
-              next = static_cast<uint32_t>(
-                  std::max(static_cast<int32_t>(old), static_cast<int32_t>(operand)));
-              break;
-            case AtomicOp::kAnd: next = old & operand; break;
-            case AtomicOp::kOr: next = old | operand; break;
-            case AtomicOp::kXor: next = old ^ operand; break;
-            case AtomicOp::kExchange: next = operand; break;
-            case AtomicOp::kCmpxchg: {
-              st = eval(s.c, single, 1, tv);
-              if (st.is_ok()) next = old == tv[i] ? operand : old;
-              break;
-            }
-          }
-          if (st.is_ok()) {
-            (*data)[ti[i]] = next;
-            if (result != nullptr) (*result)[i] = old;
-          }
-        }
-        single[i] = 0;
-      }
-      give_vec(std::move(tv));
-      give_vec(std::move(ti));
-      give_mask(std::move(single));
-      return st;
-    }
-    case StmtKind::kPrint: {
-      Mask single = take_mask();
-      Vec tv = take_vec();
-      Status st = Status::ok();
-      for (uint32_t i = 0; i < ctx_.items && st.is_ok(); ++i) {
-        if (!active[i]) continue;
-        single[i] = 1;
-        std::string rendered;
-        size_t arg_index = 0;
-        const std::string& fmt = s.text;
-        for (size_t p = 0; p < fmt.size() && st.is_ok(); ++p) {
-          if (fmt[p] != '%' || p + 1 == fmt.size()) {
-            rendered += fmt[p];
-            continue;
-          }
-          const char spec = fmt[++p];
-          if (spec == '%') {
-            rendered += '%';
-            continue;
-          }
-          uint32_t value = 0;
-          if (arg_index < s.print_args.size()) {
-            st = eval(s.print_args[arg_index++], single, 1, tv);
-            if (!st.is_ok()) break;
-            value = tv[i];
-          }
-          char buf[48];
-          switch (spec) {
-            case 'd': std::snprintf(buf, sizeof(buf), "%d", static_cast<int32_t>(value)); break;
-            case 'u': std::snprintf(buf, sizeof(buf), "%u", value); break;
-            case 'x': std::snprintf(buf, sizeof(buf), "%x", value); break;
-            case 'f': std::snprintf(buf, sizeof(buf), "%f", u2f(value)); break;
-            default: std::snprintf(buf, sizeof(buf), "%%%c", spec); break;
-          }
-          rendered += buf;
-        }
-        single[i] = 0;
-        if (!st.is_ok()) break;
-        if (!rendered.empty() && rendered.back() == '\n') rendered.pop_back();
-        if (options_.print_sink) options_.print_sink(rendered);
-      }
-      give_vec(std::move(tv));
-      give_mask(std::move(single));
-      return st;
-    }
+    case StmtKind::kBarrier:
+      // OpenCL requires barriers to be reached by every item of the group;
+      // lockstep execution leaves nothing else to synchronize.
+      if (n != items_) return fail("barrier reached under divergent control flow (OpenCL UB)");
+      return true;
+    case StmtKind::kAtomic: return exec_atomic(s, m, lo, hi);
+    case StmtKind::kPrint: return exec_print(s, m, lo, hi);
   }
   return fail("unreachable statement kind");
 }
 
-Status GroupExec::run_block(const std::vector<StmtPtr>& block, const Mask& active,
-                            uint32_t n_active) {
-  for (const auto& s : block) {
-    if (auto st = exec(*s, active, n_active); !st.is_ok()) return st;
+Status Run::run() {
+  const size_t items = items_;
+  values_.assign(p_.nodes.size() * items, 0u);
+  vars_.assign(p_.var_names.size() * items, 0u);
+  masks_.assign(size_t{p_.masks} * items, 0);
+  site_counts_.assign(p_.sites.size(), 0);
+  for (const auto& array : kernel_.locals) locals_.emplace_back(array.size, 0u);
+  var_group_.assign(p_.var_names.size(), 0);
+  full_.assign(items, 1);
+
+  // Launch-uniform leaves hold their value in every lane for the whole run.
+  for (size_t id = 0; id < p_.nodes.size(); ++id) {
+    const Program::Node& e = p_.nodes[id];
+    uint32_t fill = 0;
+    switch (e.op) {
+      case Op::kConst: fill = e.imm; break;
+      case Op::kParam:
+        if (static_cast<size_t>(e.index) >= args_.size()) continue;
+        fill = args_[static_cast<size_t>(e.index)].scalar_bits;
+        break;
+      case Op::kGlobalSize: fill = ndrange_.global[e.dim]; break;
+      case Op::kLocalSize: fill = ndrange_.local[e.dim]; break;
+      case Op::kNumGroups: fill = ndrange_.num_groups(e.dim); break;
+      default: continue;
+    }
+    std::fill_n(value(static_cast<uint32_t>(id)), items, fill);
+  }
+  // Whether a store runs item by item depends only on the launch's bindings.
+  sequential_.assign(p_.statements.size(), 0);
+  for (size_t id = 0; id < p_.statements.size(); ++id) {
+    const Program::Statement& s = p_.statements[id];
+    if (s.kind == StmtKind::kStore) sequential_[id] = store_may_alias(s);
+  }
+
+  for (int d = 0; d < 3; ++d) {
+    lid_[d].resize(items);
+    gid_[d].resize(items);
+    grp_[d].resize(items);
+  }
+  for (uint32_t i = 0; i < items_; ++i) {
+    lid_[0][i] = i % ndrange_.local[0];
+    lid_[1][i] = (i / ndrange_.local[0]) % ndrange_.local[1];
+    lid_[2][i] = i / (ndrange_.local[0] * ndrange_.local[1]);
+  }
+
+  uint32_t group[3];
+  for (group[2] = 0; group[2] < ndrange_.num_groups(2); ++group[2]) {
+    for (group[1] = 0; group[1] < ndrange_.num_groups(1); ++group[1]) {
+      for (group[0] = 0; group[0] < ndrange_.num_groups(0); ++group[0]) {
+        ++group_serial_;  // every variable is undefined again
+        for (int d = 0; d < 3; ++d) {
+          const uint32_t base = group[d] * ndrange_.local[d];
+          for (uint32_t i = 0; i < items_; ++i) gid_[d][i] = base + lid_[d][i];
+          std::fill(grp_[d].begin(), grp_[d].end(), group[d]);
+        }
+        for (auto& array : locals_) std::fill(array.begin(), array.end(), 0u);
+        if (!exec_block(p_.body, p_.body_end, full_.data(), items_, 0, items_)) return error_;
+      }
+    }
   }
   return Status::ok();
 }
@@ -779,6 +631,12 @@ KernelArg KernelArg::scalar_f32(float v) { return KernelArg{false, f2u(v), nullp
 
 Status Interpreter::run(const Kernel& kernel, const std::vector<KernelArg>& args,
                         const NDRange& ndrange) {
+  return run(Program(kernel), args, ndrange);
+}
+
+Status Interpreter::run(const Program& program, const std::vector<KernelArg>& args,
+                        const NDRange& ndrange) {
+  const Kernel& kernel = *program.kernel;
   if (args.size() != kernel.params.size()) {
     return Status(ErrorKind::kInvalidArgument,
                   kernel.name + ": expected " + std::to_string(kernel.params.size()) +
@@ -797,37 +655,8 @@ Status Interpreter::run(const Kernel& kernel, const std::vector<KernelArg>& args
                         std::to_string(d));
     }
   }
-
-  GroupContext ctx;
-  ctx.kernel = &kernel;
-  ctx.args = &args;
-  ctx.ndrange = &ndrange;
-  ctx.items = ndrange.local_items();
-  for (int d = 0; d < 3; ++d) ctx.lid[d].resize(ctx.items);
-  for (uint32_t i = 0; i < ctx.items; ++i) {
-    ctx.lid[0][i] = i % ndrange.local[0];
-    ctx.lid[1][i] = (i / ndrange.local[0]) % ndrange.local[1];
-    ctx.lid[2][i] = i / (ndrange.local[0] * ndrange.local[1]);
-  }
-
-  const std::vector<uint8_t> full(ctx.items, 1);
-  for (uint32_t gz = 0; gz < ndrange.num_groups(2); ++gz) {
-    for (uint32_t gy = 0; gy < ndrange.num_groups(1); ++gy) {
-      for (uint32_t gx = 0; gx < ndrange.num_groups(0); ++gx) {
-        ctx.group[0] = gx;
-        ctx.group[1] = gy;
-        ctx.group[2] = gz;
-        ctx.env.clear();
-        ctx.locals.clear();
-        for (const auto& array : kernel.locals) {
-          ctx.locals.emplace_back(array.size, 0u);
-        }
-        GroupExec exec(ctx, options_);
-        if (auto st = exec.run_block(kernel.body, full, ctx.items); !st.is_ok()) return st;
-      }
-    }
-  }
-  return Status::ok();
+  ++work_.launches;
+  return Run(program, args, ndrange, options_, work_, site_counts_).run();
 }
 
 }  // namespace fgpu::kir

@@ -62,6 +62,15 @@ std::shared_ptr<const HlsCache::Entry> HlsCache::synthesize(const kir::Kernel& k
   if (design.is_ok()) {
     entry->status = Status::ok();
     entry->design = std::make_unique<const hls::HlsDesign>(design.take());
+    entry->program = std::make_unique<const kir::Program>(entry->kernel);
+    std::unordered_map<const void*, uint32_t> program_site;
+    for (size_t i = 0; i < entry->program->sites.size(); ++i) {
+      program_site.emplace(entry->program->sites[i].origin, static_cast<uint32_t>(i));
+    }
+    for (const hls::AccessSite& site : entry->design->dfg.sites) {
+      auto it = program_site.find(site.site);
+      entry->program_site.push_back(it == program_site.end() ? kir::Program::kNone : it->second);
+    }
   } else {
     entry->status = design.status();
     // The failed attempt still has a structured report: its area rows are

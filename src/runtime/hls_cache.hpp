@@ -8,7 +8,8 @@
 // An entry owns BOTH the synthesized design AND the builtin-expanded kernel
 // clone the design's AccessSite::site pointers point into: the two are one
 // object lifetime-wise (HlsDevice launches interpret the entry's kernel so
-// site attribution stays pointer-exact). Entries are immutable after
+// site attribution stays pointer-exact). The interpreter program over that
+// clone is built here too, once per entry rather than once per launch. Entries are immutable after
 // construction and safe to share across suite worker threads — the KIR
 // interpreter never writes through Stmt/Expr pointers.
 #pragma once
@@ -23,6 +24,7 @@
 #include "fpga/board.hpp"
 #include "hls/compiler.hpp"
 #include "kir/kir.hpp"
+#include "kir/program.hpp"
 
 namespace fgpu::vcl {
 
@@ -42,6 +44,11 @@ class HlsCache {
     // Set on successful synthesis; on failure `status` carries the fitter
     // verdict and `failed_synth`/`failed_area` the Table-II report rows.
     std::unique_ptr<const hls::HlsDesign> design;
+    // With `design`: the interpreter program over `kernel` that launches
+    // run, and for each design.dfg.sites entry the index of the program
+    // site with the same node (kir::Program::kNone if the program has none).
+    std::unique_ptr<const kir::Program> program;
+    std::vector<uint32_t> program_site;
     Status status;
     hls::SynthReport failed_synth;  // synth_report() of a failed fit
   };

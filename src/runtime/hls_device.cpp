@@ -176,12 +176,8 @@ Result<LaunchStats> HlsDevice::launch(const std::string& kernel_name,
     }
   }
 
-  // Dynamic request counts per access site drive the timing model.
-  std::unordered_map<const void*, uint64_t> dyn_requests;
   kir::InterpOptions interp_options;
   interp_options.print_sink = [this](const std::string& line) { console_.push_back(line); };
-  interp_options.on_load = [&](const kir::Expr* site) { ++dyn_requests[site]; };
-  interp_options.on_store = [&](const kir::Stmt* site) { ++dyn_requests[site]; };
 
   // Memory-hierarchy shadow profiling (see set_memprof): every global load
   // becomes a flat device address fed through a shadow cache of the
@@ -204,10 +200,10 @@ Result<LaunchStats> HlsDevice::launch(const std::string& kernel_name,
     };
   }
 
-  // The entry's kernel was expanded at synthesis time; the interpreter runs
-  // the very nodes the access sites point at.
+  // The entry's kernel was expanded and built into a program at synthesis
+  // time; the interpreter runs the very nodes the access sites point at.
   kir::Interpreter interp(interp_options);
-  if (auto st = interp.run(*kernel, interp_args, ndrange); !st.is_ok()) {
+  if (auto st = interp.run(*entry.program, interp_args, ndrange); !st.is_ok()) {
     return Result<LaunchStats>(st.kind(), st.message());
   }
 
@@ -221,8 +217,9 @@ Result<LaunchStats> HlsDevice::launch(const std::string& kernel_name,
   stats.hls_sites.reserve(design.dfg.sites.size());
   for (size_t i = 0; i < design.dfg.sites.size(); ++i) {
     const hls::AccessSite& site = design.dfg.sites[i];
-    auto it = dyn_requests.find(site.site);
-    const uint64_t requests = it == dyn_requests.end() ? 0 : it->second;
+    // Dynamic request counts per access site drive the timing model.
+    const uint32_t counted = entry.program_site[i];
+    const uint64_t requests = counted == kir::Program::kNone ? 0 : interp.site_counts()[counted];
     HlsSiteStats ss;
     ss.site = static_cast<uint32_t>(i);
     ss.buffer = site.buffer_name;

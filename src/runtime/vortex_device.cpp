@@ -6,6 +6,7 @@
 #include "codegen/abi.hpp"
 #include "common/bits.hpp"
 #include "runtime/kernel_cache.hpp"
+#include "runtime/stack_guard.hpp"
 #include "trace/trace.hpp"
 
 namespace fgpu::vcl {
@@ -120,6 +121,10 @@ Result<LaunchStats> VortexDevice::launch(const std::string& kernel_name,
   if (kernel.local_bytes() > arch::kLocalSize) {
     return Result<LaunchStats>(ErrorKind::kInvalidArgument,
                                kernel_name + ": __local memory exceeds device capacity");
+  }
+  if (auto st = check_stack_frames(kernel_name, config_, built.compiled->spill_slots, heap_next_);
+      !st.is_ok()) {
+    return Result<LaunchStats>(st.kind(), st.message());
   }
 
   // Load the kernel binary.

@@ -11,6 +11,7 @@
 #include <ostream>
 #include <thread>
 #include <tuple>
+#include <unordered_map>
 #include <utility>
 
 #include "codegen/codegen.hpp"
@@ -178,11 +179,16 @@ Result<std::vector<vortex::KernelProfile>> profile_benchmark(const Benchmark& be
   std::vector<std::vector<uint32_t>> buffers = bench.buffers;
   std::vector<vortex::KernelProfile> profiles;
   profiles.reserve(bench.launches.size());
+  // Each distinct kernel is lowered, classified and built into an
+  // interpreter program once, however many launches it has.
+  std::unordered_map<const kir::Kernel*, std::unique_ptr<vortex::KernelProfiler>> profilers;
   for (const auto& launch : bench.launches) {
     const kir::Kernel* kernel = bench.module.find(launch.kernel);
     if (kernel == nullptr) {
       return R(ErrorKind::kNotFound, bench.name + ": kernel '" + launch.kernel + "' missing");
     }
+    auto& profiler = profilers[kernel];
+    if (profiler == nullptr) profiler = std::make_unique<vortex::KernelProfiler>(*kernel);
     std::vector<kir::KernelArg> args;
     args.reserve(launch.args.size());
     for (const auto& spec : launch.args) {
@@ -198,7 +204,7 @@ Result<std::vector<vortex::KernelProfile>> profile_benchmark(const Benchmark& be
           break;
       }
     }
-    auto profile = vortex::profile_kernel(*kernel, args, launch.ndrange);
+    auto profile = profiler->profile(args, launch.ndrange);
     if (!profile.is_ok()) {
       return R(profile.status().kind(), bench.name + ": " + profile.status().message());
     }

@@ -125,10 +125,11 @@ struct DseResult {
 // an unknown grid name.
 std::vector<DseCandidate> enumerate_grid(const std::string& grid);
 
-// Profiles every launch of `bench` with the interpreter counting hooks
-// (vortex::profile_kernel), threading buffer state through the launch
-// sequence exactly like reference_run. Configuration-independent: computed
-// once per workload, reused across the whole grid.
+// Profiles every launch of `bench` with the reference interpreter's work
+// and per-site counts (one vortex::KernelProfiler per distinct kernel),
+// threading buffer state through the launch sequence exactly like
+// reference_run. Configuration-independent: computed once per workload,
+// reused across the whole grid.
 Result<std::vector<vortex::KernelProfile>> profile_benchmark(const Benchmark& bench);
 
 // Sums per-launch predictions on `config`; the reported bottleneck is the

@@ -16,6 +16,17 @@ void write_json(trace::JsonWriter& w, const vortex::HostWork& work) {
   w.end_object();
 }
 
+void write_json(trace::JsonWriter& w, const kir::InterpWork& work, double reference_ms) {
+  w.begin_object();
+  w.field("launches", work.launches);
+  w.field("node_visits", work.node_visits);
+  w.field("lane_ops", work.lane_ops);
+  w.field("loads", work.loads);
+  w.field("stores", work.stores);
+  w.field("reference_ms", reference_ms);
+  w.end_object();
+}
+
 void write_json(trace::JsonWriter& w, const vortex::PerfCounters& perf) {
   w.begin_object();
   w.field("cycles", perf.cycles);

@@ -71,6 +71,9 @@ void write_json(trace::JsonWriter& w, const vortex::PerfCounters& perf);
 // Simulator work counters; fgpu.host.v1 only (they differ between
 // idle-skip modes, so never in a byte-gated document).
 void write_json(trace::JsonWriter& w, const vortex::HostWork& work);
+// Interpreter work of the oracle runs plus their wall time; fgpu.host.v1
+// only (the wall time is host-dependent).
+void write_json(trace::JsonWriter& w, const kir::InterpWork& work, double reference_ms);
 void write_json(trace::JsonWriter& w, const mem::MemStats& stats);
 void write_json(trace::JsonWriter& w, const fpga::AreaReport& area);
 void write_json(trace::JsonWriter& w, const vortex::ClusterStats& stats);

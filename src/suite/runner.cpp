@@ -132,13 +132,22 @@ void run_one(const RunnerOptions& options, DevicePool* pool, const std::string& 
   const Benchmark& bench = shared ? *shared : local;
   outcome.origin = bench.origin;
 
-  // Memoized interpreter oracle: one reference run per benchmark per
-  // process instead of one per device run (three per repeat under
-  // --device=all). Only on the pooled path — --fresh recomputes inline,
-  // which is the A/B reference proving the memo changes no byte. Null
-  // (custom-verify benchmarks, or a failing oracle) falls back inline.
-  std::shared_ptr<const std::vector<std::vector<uint32_t>>> expected;
-  if (options.reuse_devices && !bench.custom_verify) expected = shared_reference(name);
+  // Interpreter oracle: one reference run per benchmark per process on the
+  // pooled path (the memo), one per benchmark run under --fresh — which
+  // never touches the memo, the A/B reference proving it changes no byte.
+  // Either way the devices share it instead of one run each (three per
+  // repeat under --device=all). Null (custom-verify benchmarks, or a
+  // failing oracle) makes each device run fall back inline.
+  std::shared_ptr<const ReferenceRun> reference;
+  if (!bench.custom_verify) {
+    reference = options.reuse_devices ? shared_reference_run(name) : make_reference_run(bench);
+  }
+  const std::vector<std::vector<uint32_t>>* expected = nullptr;
+  if (reference != nullptr) {
+    expected = &reference->buffers;
+    outcome.kir_work = reference->work;
+    outcome.reference_ms = reference->ms;
+  }
 
   DeviceSet set;
   if (pool != nullptr) set = pool->acquire(identity);
@@ -163,7 +172,7 @@ void run_one(const RunnerOptions& options, DevicePool* pool, const std::string& 
     outcome.vortex_setup_ms = ms_since(s0);
     outcome.vortex_device = set.vortex->name();
     const auto t0 = std::chrono::steady_clock::now();
-    outcome.vortex = run_benchmark(*set.vortex, bench, expected.get());
+    outcome.vortex = run_benchmark(*set.vortex, bench, expected);
     outcome.vortex_wall_ms = ms_since(t0) - outcome.vortex.build_host_ms;
     outcome.ran_vortex = true;
   }
@@ -189,7 +198,7 @@ void run_one(const RunnerOptions& options, DevicePool* pool, const std::string& 
     outcome.turbo_device = set.turbo->name();
     const vortex::jit::TurboStats jit_before = set.turbo->jit_stats();
     const auto t0 = std::chrono::steady_clock::now();
-    outcome.turbo = run_benchmark(*set.turbo, bench, expected.get());
+    outcome.turbo = run_benchmark(*set.turbo, bench, expected);
     outcome.turbo_wall_ms = ms_since(t0) - outcome.turbo.build_host_ms;
     outcome.turbo_jit = jit_delta(set.turbo->jit_stats(), jit_before);
     outcome.ran_turbo = true;
@@ -213,7 +222,7 @@ void run_one(const RunnerOptions& options, DevicePool* pool, const std::string& 
     }
     outcome.hls_device = set.hls->name();
     const auto t0 = std::chrono::steady_clock::now();
-    outcome.hls = run_benchmark(*set.hls, bench, expected.get());
+    outcome.hls = run_benchmark(*set.hls, bench, expected);
     outcome.hls_wall_ms = ms_since(t0) - outcome.hls.build_host_ms;
     outcome.ran_hls = true;
   }
@@ -699,6 +708,18 @@ void write_host_json(std::ostream& os, const RunnerOptions& options,
     w.key("vortex_work");
     write_json(w, work);
   }
+  // Deterministic interpreter work of the oracle runs (gated exactly like
+  // vortex_work; reference_ms is wall time and non-gating).
+  {
+    kir::InterpWork work;
+    double reference_ms = 0.0;
+    for (const auto& outcome : primary.outcomes) {
+      work.accumulate(outcome.kir_work);
+      reference_ms += outcome.reference_ms;
+    }
+    w.key("kir_work");
+    write_json(w, work, reference_ms);
+  }
 
   // Turbo (functional tier) totals, present only when the tier ran. The
   // headline speedup compares *execution* time only — host wall spent inside
@@ -766,6 +787,8 @@ void write_host_json(std::ostream& os, const RunnerOptions& options,
     const auto& outcome = primary.outcomes[i];
     w.begin_object();
     w.field("name", outcome.name);
+    w.key("kir_work");
+    write_json(w, outcome.kir_work, outcome.reference_ms);
     if (outcome.ran_vortex) {
       double best = repeats[warm_start]->outcomes[i].vortex_wall_ms;
       double best_launch = repeats[warm_start]->outcomes[i].vortex.launch_host_ms;

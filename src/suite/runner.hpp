@@ -130,6 +130,11 @@ struct BenchmarkOutcome {
   bool vortex_reused = false;
   bool hls_reused = false;
   bool turbo_reused = false;
+  // Interpreter work of the benchmark's oracle run (fgpu.host.v1 kir_work;
+  // zero for custom-verify benchmarks, which have no oracle) and its host
+  // wall time — of the run that filled the memo on the pooled path.
+  kir::InterpWork kir_work;
+  double reference_ms = 0.0;
 };
 
 // Reuse-machinery counters of one run_all call (deltas of the process-wide

@@ -100,9 +100,8 @@ namespace {
 struct WorkloadCache {
   std::mutex mu;
   std::unordered_map<std::string, std::shared_ptr<const Benchmark>> entries;
-  // Memoized reference_run results, same keying and lifetime as entries.
-  std::unordered_map<std::string, std::shared_ptr<const std::vector<std::vector<uint32_t>>>>
-      references;
+  // Memoized reference runs, same keying and lifetime as entries.
+  std::unordered_map<std::string, std::shared_ptr<const ReferenceRun>> references;
   WorkloadCacheStats stats;
 };
 
@@ -148,8 +147,17 @@ void clear_workload_cache() {
   cache.stats = WorkloadCacheStats{};
 }
 
-std::shared_ptr<const std::vector<std::vector<uint32_t>>> shared_reference(
-    const std::string& name) {
+std::shared_ptr<const ReferenceRun> make_reference_run(const Benchmark& bench) {
+  const auto t0 = std::chrono::steady_clock::now();
+  kir::InterpWork work;
+  auto computed = reference_run(bench, &work);
+  if (!computed.is_ok()) return nullptr;
+  const double ms =
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+  return std::make_shared<const ReferenceRun>(ReferenceRun{computed.take(), work, ms});
+}
+
+std::shared_ptr<const ReferenceRun> shared_reference_run(const std::string& name) {
   WorkloadCache& cache = workload_cache();
   {
     std::lock_guard<std::mutex> lock(cache.mu);
@@ -163,11 +171,8 @@ std::shared_ptr<const std::vector<std::vector<uint32_t>>> shared_reference(
   // oracle is deterministic, so racing results are identical — first
   // insert wins. Failures are not cached: the per-run fallback reports
   // them with full context, and they never happen on the shipping suite.
-  auto bench = shared_benchmark(name);
-  auto computed = reference_run(*bench);
-  if (!computed.is_ok()) return nullptr;
-  auto ref =
-      std::make_shared<const std::vector<std::vector<uint32_t>>>(std::move(*computed));
+  auto ref = make_reference_run(*shared_benchmark(name));
+  if (ref == nullptr) return nullptr;
   std::lock_guard<std::mutex> lock(cache.mu);
   ++cache.stats.reference_misses;
   auto [it, inserted] = cache.references.emplace(name, std::move(ref));
@@ -175,12 +180,24 @@ std::shared_ptr<const std::vector<std::vector<uint32_t>>> shared_reference(
   return it->second;
 }
 
-Result<std::vector<std::vector<uint32_t>>> reference_run(const Benchmark& bench) {
-  // Oracle runs the builtin-expanded module (the form both devices execute).
+std::shared_ptr<const std::vector<std::vector<uint32_t>>> shared_reference(
+    const std::string& name) {
+  auto ref = shared_reference_run(name);
+  if (ref == nullptr) return nullptr;
+  return {ref, &ref->buffers};
+}
+
+Result<std::vector<std::vector<uint32_t>>> reference_run(const Benchmark& bench,
+                                                         kir::InterpWork* work) {
+  // Oracle runs the builtin-expanded module (the form both devices execute),
+  // each kernel built into an interpreter program once for all its launches.
   kir::Module module = bench.module;
+  std::vector<kir::Program> programs;
+  programs.reserve(module.kernels.size());
   for (auto& kernel : module.kernels) {
     kernel = kir::clone_kernel(kernel);
     kir::expand_builtins(kernel);
+    programs.emplace_back(kernel);
   }
   std::vector<std::vector<uint32_t>> buffers = bench.buffers;
   kir::Interpreter interp;
@@ -190,6 +207,7 @@ Result<std::vector<std::vector<uint32_t>>> reference_run(const Benchmark& bench)
       return Result<std::vector<std::vector<uint32_t>>>(
           ErrorKind::kNotFound, bench.name + ": kernel '" + launch.kernel + "' missing");
     }
+    const kir::Program& program = programs[static_cast<size_t>(kernel - module.kernels.data())];
     std::vector<kir::KernelArg> args;
     for (const auto& spec : launch.args) {
       switch (spec.kind) {
@@ -204,10 +222,11 @@ Result<std::vector<std::vector<uint32_t>>> reference_run(const Benchmark& bench)
           break;
       }
     }
-    if (auto st = interp.run(*kernel, args, launch.ndrange); !st.is_ok()) {
+    if (auto st = interp.run(program, args, launch.ndrange); !st.is_ok()) {
       return Result<std::vector<std::vector<uint32_t>>>(st.kind(), st.message());
     }
   }
+  if (work != nullptr) work->accumulate(interp.work());
   return buffers;
 }
 

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/status.hpp"
+#include "kir/interp.hpp"
 #include "kir/kir.hpp"
 #include "runtime/runtime.hpp"
 
@@ -91,12 +92,26 @@ WorkloadCacheStats workload_cache_stats();
 // Tests only: drop every cached benchmark and zero the counters.
 void clear_workload_cache();
 
-// Memoized interpreter oracle over the shared workload cache: the final
-// buffer state of reference_run(*shared_benchmark(name)), computed once per
-// process instead of once per device run (three per benchmark per repeat
-// under --device=all). Pure: same benchmark -> same buffers, and verifiers
-// only read them. Null when the reference run fails (callers fall back to
-// the inline computation, which reports the error per run).
+// One run of the interpreter oracle over a benchmark's launch sequence: the
+// final buffer state plus the interpreter work it took (fgpu.host.v1
+// kir_work; `ms` is its host wall time, non-gating).
+struct ReferenceRun {
+  std::vector<std::vector<uint32_t>> buffers;
+  kir::InterpWork work;
+  double ms = 0.0;
+};
+
+// Runs and times the oracle; null when the reference run fails.
+std::shared_ptr<const ReferenceRun> make_reference_run(const Benchmark& bench);
+
+// Memoized interpreter oracle over the shared workload cache:
+// make_reference_run(*shared_benchmark(name)), computed once per process
+// instead of once per device run (three per benchmark per repeat under
+// --device=all). Pure: same benchmark -> same buffers and work, and
+// verifiers only read them. Null when the reference run fails (callers fall
+// back to the inline computation, which reports the error per run).
+std::shared_ptr<const ReferenceRun> shared_reference_run(const std::string& name);
+// The buffers of shared_reference_run(name), or null.
 std::shared_ptr<const std::vector<std::vector<uint32_t>>> shared_reference(
     const std::string& name);
 
@@ -213,7 +228,8 @@ DeviceRun run_benchmark(vcl::Device& device, const Benchmark& bench,
 
 // Runs the interpreter oracle over the benchmark's launch sequence and
 // returns the final buffer state (also used by run_benchmark for
-// verification).
-Result<std::vector<std::vector<uint32_t>>> reference_run(const Benchmark& bench);
+// verification). When `work` is set, the interpreter's work is added to it.
+Result<std::vector<std::vector<uint32_t>>> reference_run(const Benchmark& bench,
+                                                         kir::InterpWork* work = nullptr);
 
 }  // namespace fgpu::suite

@@ -12,8 +12,9 @@ void AsmBuilder::li(unsigned rd, int32_t value) {
   // lui loads imm<<12; addi adds the (sign-extended) low 12 bits, so the
   // upper part must be rounded to compensate when bit 11 is set.
   int32_t lo = value << 20 >> 20;  // sign-extended low 12 bits
-  int32_t hi = (value - lo) >> 12;
-  emit_u(arch::Op::kLui, rd, hi & 0xFFFFF);
+  // Unsigned: value - lo overflows int32 for values near INT32_MAX.
+  const uint32_t hi = (static_cast<uint32_t>(value) - static_cast<uint32_t>(lo)) >> 12;
+  emit_u(arch::Op::kLui, rd, static_cast<int32_t>(hi & 0xFFFFF));
   if (lo != 0) emit_i(arch::Op::kAddi, rd, rd, lo);
 }
 

@@ -2,74 +2,81 @@
 
 #include <algorithm>
 #include <cmath>
+#include <unordered_map>
 
 #include "hls/compiler.hpp"
 #include "kir/passes.hpp"
 
 namespace fgpu::vortex {
 
-Result<KernelProfile> profile_kernel(const kir::Kernel& kernel,
-                                     const std::vector<kir::KernelArg>& args,
-                                     const kir::NDRange& ndrange) {
-  // Expand builtins so the operation count matches what the device executes.
+namespace {
+
+kir::Kernel lower(const kir::Kernel& kernel) {
   kir::Kernel lowered = kir::clone_kernel(kernel);
   kir::expand_builtins(lowered);
+  return lowered;
+}
 
-  // Static access-pattern census (reuses the HLS analyzer's classifier).
-  const auto dfg = hls::analyze(lowered);
+}  // namespace
 
-  uint64_t ops = 0, loads = 0, stores = 0, local_accesses = 0;
-  uint64_t consecutive = 0, total_classified = 0;
-
-  // Per-site pattern lookup for the dynamic counters.
+KernelProfiler::KernelProfiler(const kir::Kernel& kernel)
+    : lowered_(lower(kernel)), program_(lowered_) {
+  // Static access-pattern census (reuses the HLS analyzer's classifier);
+  // sites it does not list are __local accesses.
   std::unordered_map<const void*, hls::AccessPattern> site_pattern;
-  for (const auto& site : dfg.sites) site_pattern[site.site] = site.pattern;
+  for (const auto& site : hls::analyze(lowered_).sites) site_pattern[site.site] = site.pattern;
+  site_class_.reserve(program_.sites.size());
+  for (const auto& site : program_.sites) {
+    auto it = site_pattern.find(site.origin);
+    site_class_.push_back(it == site_pattern.end() ? SiteClass::kLocal
+                          : it->second == hls::AccessPattern::kConsecutive
+                              ? SiteClass::kGlobalConsecutive
+                              : SiteClass::kGlobal);
+  }
+}
 
-  kir::InterpOptions options;
-  options.op_count = &ops;
-  options.on_load = [&](const kir::Expr* site) {
-    auto it = site_pattern.find(site);
-    if (it == site_pattern.end()) {
-      ++local_accesses;  // __local load (not a global site)
-      return;
-    }
-    ++loads;
-    ++total_classified;
-    if (it->second == hls::AccessPattern::kConsecutive) ++consecutive;
-  };
-  options.on_store = [&](const kir::Stmt* site) {
-    auto it = site_pattern.find(site);
-    if (it == site_pattern.end()) {
-      ++local_accesses;
-      return;
-    }
-    ++stores;
-    ++total_classified;
-    if (it->second == hls::AccessPattern::kConsecutive) ++consecutive;
-  };
-
-  kir::Interpreter interp(options);
-  if (auto st = interp.run(lowered, args, ndrange); !st.is_ok()) {
+Result<KernelProfile> KernelProfiler::profile(const std::vector<kir::KernelArg>& args,
+                                              const kir::NDRange& ndrange) const {
+  kir::Interpreter interp;
+  if (auto st = interp.run(program_, args, ndrange); !st.is_ok()) {
     return Result<KernelProfile>(st.kind(), st.message());
   }
+
+  uint64_t loads = 0, stores = 0, local_accesses = 0, consecutive = 0;
+  for (size_t i = 0; i < site_class_.size(); ++i) {
+    const uint64_t count = interp.site_counts()[i];
+    if (site_class_[i] == SiteClass::kLocal) {
+      local_accesses += count;
+      continue;
+    }
+    (program_.sites[i].is_store ? stores : loads) += count;
+    if (site_class_[i] == SiteClass::kGlobalConsecutive) consecutive += count;
+  }
+  const uint64_t total_classified = loads + stores;
 
   KernelProfile profile;
   profile.items = ndrange.global_items();
   const double items = std::max<double>(1.0, static_cast<double>(profile.items));
-  profile.ops_per_item = static_cast<double>(ops) / items;
+  profile.ops_per_item = static_cast<double>(interp.work().lane_ops) / items;
   profile.loads_per_item = static_cast<double>(loads) / items;
   profile.stores_per_item = static_cast<double>(stores) / items;
   profile.local_accesses_per_item = static_cast<double>(local_accesses) / items;
   profile.consecutive_fraction =
       total_classified == 0 ? 1.0
                             : static_cast<double>(consecutive) / static_cast<double>(total_classified);
-  profile.uses_barriers = lowered.has_barrier();
+  profile.uses_barriers = lowered_.has_barrier();
   for (const auto& arg : args) {
     if (arg.is_buffer && arg.data != nullptr) {
       profile.footprint_bytes += static_cast<uint64_t>(arg.data->size()) * 4;
     }
   }
   return profile;
+}
+
+Result<KernelProfile> profile_kernel(const kir::Kernel& kernel,
+                                     const std::vector<kir::KernelArg>& args,
+                                     const kir::NDRange& ndrange) {
+  return KernelProfiler(kernel).profile(args, ndrange);
 }
 
 Prediction predict_cycles(const KernelProfile& profile, const Config& config) {

@@ -5,7 +5,7 @@
 //
 // The model predicts kernel cycles for a (C, W, T) configuration from a
 // one-time workload profile (gathered by running the reference interpreter
-// with counting hooks — no cycle-level simulation), as the maximum of three
+// and reading its work counts — no cycle-level simulation), as the maximum of
 // bottlenecks:
 //
 //   issue  — one warp-instruction per cycle per core; T lanes amortize the
@@ -54,9 +54,32 @@ struct KernelProfile {
   uint64_t footprint_bytes = 0;
 };
 
-// Profiles a kernel launch by running the reference interpreter once with
-// counting hooks. `args` are interpreter arguments over scratch copies of
-// the launch buffers (mutated during profiling).
+// A kernel prepared once for profiling any number of its launches: the
+// builtin-expanded clone (so the operation count matches what the device
+// executes), the access-pattern class of each interpreter site, and the
+// interpreter program over the clone. Not copyable: the program points into
+// the clone.
+class KernelProfiler {
+ public:
+  explicit KernelProfiler(const kir::Kernel& kernel);
+  KernelProfiler(const KernelProfiler&) = delete;
+  KernelProfiler& operator=(const KernelProfiler&) = delete;
+
+  // Profiles one launch by running the reference interpreter once and
+  // reading its work and per-site counts. `args` are interpreter arguments
+  // over scratch copies of the launch buffers (mutated during profiling).
+  Result<KernelProfile> profile(const std::vector<kir::KernelArg>& args,
+                                const kir::NDRange& ndrange) const;
+
+ private:
+  enum class SiteClass : uint8_t { kLocal, kGlobal, kGlobalConsecutive };
+
+  kir::Kernel lowered_;
+  kir::Program program_;
+  std::vector<SiteClass> site_class_;  // per program site
+};
+
+// One-off KernelProfiler(kernel).profile(args, ndrange).
 Result<KernelProfile> profile_kernel(const kir::Kernel& kernel,
                                      const std::vector<kir::KernelArg>& args,
                                      const kir::NDRange& ndrange);

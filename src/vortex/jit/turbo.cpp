@@ -418,7 +418,7 @@ class TurboCore {
   TurboStats& stats_;
 
   std::vector<TWarp> warps_;
-  std::vector<uint32_t> xregs_;  // [warp][thread][32], as in core.cpp
+  std::vector<uint32_t> xregs_;  // [warp][reg][lane], lanes of a register adjacent
   std::vector<uint32_t> fregs_;
   std::vector<uint32_t> barrier_arrived_;
   std::vector<uint32_t> barrier_expected_;

@@ -11,7 +11,10 @@
 #include "common/rng.hpp"
 #include "kir/build.hpp"
 #include "runtime/hls_device.hpp"
+#include "runtime/stack_guard.hpp"
+#include "runtime/turbo_device.hpp"
 #include "runtime/vortex_device.hpp"
+#include "suite/suite.hpp"
 
 namespace fgpu::vcl {
 namespace {
@@ -219,6 +222,50 @@ TEST(RuntimeConformance, VortexPerfCountersPopulated) {
   EXPECT_GT(stats->l1d.hits + stats->l1d.misses, 0u);
   EXPECT_GT(stats->dram_bytes, 0u);
   EXPECT_EQ(stats->perf.warps_spawned, 2u * 3u);  // 3 spawned per core
+}
+
+// Per-thread stacks grow down from kStackTop; at 16384 hardware threads the
+// lowest one starts at kHeapBase. A kernel that spills must fail loudly
+// there, on both soft-GPU tiers, instead of writing its frame over the first
+// buffer; kernels that never touch their stack keep running.
+TEST(StackGuard, FramesReachingBuffersFailTheLaunch) {
+  const uint32_t heap_end = arch::kHeapBase + 4096;
+  EXPECT_TRUE(check_stack_frames("k", vortex::Config::with(4, 64, 32), 3, heap_end).is_ok());
+  EXPECT_TRUE(check_stack_frames("k", vortex::Config::with(8, 64, 32), 0, heap_end).is_ok());
+  EXPECT_TRUE(check_stack_frames("k", vortex::Config::with(8, 64, 32), 3, arch::kHeapBase).is_ok());
+  const Status status = check_stack_frames("k", vortex::Config::with(8, 64, 32), 3, heap_end);
+  ASSERT_FALSE(status.is_ok());
+  EXPECT_EQ(status.kind(), ErrorKind::kResourceExceeded);
+  EXPECT_EQ(status.message(),
+            "k: per-thread stacks of C8W64T32 (16384 hardware threads x 64 KiB) reach the "
+            "device buffers [0x20000000, 0x20001000) with the kernel's 12-byte spill frame");
+  // Far past the boundary the stacks wrap; some thread still sits on the heap.
+  EXPECT_FALSE(check_stack_frames("k", vortex::Config::with(16, 64, 32), 1, heap_end).is_ok());
+}
+
+TEST(StackGuard, LavamdFailsLoudlyAtSixteenThousandThreads) {
+  const auto lavamd = suite::shared_benchmark("lavamd");
+  const auto vecadd = suite::shared_benchmark("vecadd");
+  const vortex::Config spilling = vortex::Config::with(8, 64, 32);
+  const vortex::Config wide = vortex::Config::with(16, 32, 32);
+  std::vector<std::unique_ptr<Device>> devices;
+  devices.push_back(std::make_unique<VortexDevice>(spilling));
+  devices.push_back(std::make_unique<TurboDevice>(spilling));
+  for (auto& device : devices) {
+    const suite::DeviceRun run = suite::run_benchmark(*device, *lavamd);
+    ASSERT_TRUE(run.build.is_ok()) << device->name();
+    ASSERT_FALSE(run.run.is_ok()) << device->name();
+    EXPECT_EQ(run.run.kind(), ErrorKind::kResourceExceeded) << device->name();
+    EXPECT_NE(run.run.message().find("per-thread stacks of C8W64T32 (16384 hardware threads"),
+              std::string::npos)
+        << run.run.message();
+    EXPECT_EQ(run.fail_reason, "Runtime error");
+  }
+  // vecadd never spills: the same address-space layout is harmless to it.
+  VortexDevice vortex_device(wide);
+  EXPECT_TRUE(suite::run_benchmark(vortex_device, *vecadd).ok());
+  TurboDevice turbo_device(wide);
+  EXPECT_TRUE(suite::run_benchmark(turbo_device, *vecadd).ok());
 }
 
 }  // namespace

@@ -32,11 +32,12 @@ When both documents carry turbo sections, the turbo dispatch throughput and
 turbo-over-vortex speedup trajectory are printed too (equally non-gating).
 The same step GATES the deterministic simulator-work counters
 (vortex_work and each benchmark's vortex.work: cluster_ticks, core_ticks,
-core_ticks_slept, cycles_skipped) EXACTLY: they count simulation work, not
-time, so any delta is a fast-path behaviour change that demands a
-BENCH_host.json refresh. The check runs only when both documents describe
-the same run (suite header and idle_skip); otherwise it prints why it was
-skipped.
+core_ticks_slept, cycles_skipped) and the reference-interpreter counters
+(kir_work and each benchmark's kir_work: launches, node_visits, lane_ops,
+loads, stores) EXACTLY: they count simulation work, not time, so any delta
+is a fast-path behaviour change that demands a BENCH_host.json refresh.
+The check runs only when both documents describe the same run (suite
+header and idle_skip); otherwise it prints why it was skipped.
 
 Turbo digest gate (--turbo-digests): BASELINE and CURRENT are read as
 fgpu.host.v1 documents from an fgpu-run --device=all run (they may be the
@@ -218,14 +219,18 @@ def compare_host(host_baseline, host_current):
 
 
 WORK_FIELDS = ("cluster_ticks", "core_ticks", "core_ticks_slept", "cycles_skipped")
+KIR_WORK_FIELDS = ("launches", "node_visits", "lane_ops", "loads", "stores")
 
 
 def compare_host_work(host_baseline, host_current):
-    """GATING exact comparison of the fgpu.host.v1 simulator-work counters.
+    """GATING exact comparison of the fgpu.host.v1 work counters.
 
+    Two groups: the cycle-exact simulator's vortex_work (per benchmark under
+    vortex.work) and the reference interpreter's kir_work (per benchmark
+    under kir_work; its reference_ms is wall time and not compared).
     Returns failures. Skipped (with a note) when the two documents describe
     different runs: another suite header (config, opt level, filter, seed)
-    or idle-skip mode, or a baseline that predates the counters.
+    or idle-skip mode. A group the baseline predates is skipped with a note.
     """
     with open(host_baseline) as f:
         base = json.load(f)
@@ -233,43 +238,61 @@ def compare_host_work(host_baseline, host_current):
         cur = json.load(f)
     if base.get("schema") != "fgpu.host.v1" or cur.get("schema") != "fgpu.host.v1":
         return []
-    if "vortex_work" not in base:
-        print(f"note: {host_baseline} has no vortex_work counters — skipping the "
-              "host-work gate (regenerate it with fgpu-run --host-json)")
-        return []
-    if "vortex_work" not in cur:
-        return [f"host-work: vortex_work missing from {host_current}"]
     for key in ("suite", "idle_skip"):
         if base.get(key) != cur.get(key):
             print(f"note: host docs differ in {key!r} — skipping the host-work gate")
             return []
-    failures = []
     base_benchmarks = by_name(base)
     cur_benchmarks = by_name(cur)
-    compared = 0
-    for name in sorted(set(base_benchmarks) & set(cur_benchmarks)):
-        b = (base_benchmarks[name].get("vortex") or {}).get("work")
-        c = (cur_benchmarks[name].get("vortex") or {}).get("work")
-        if b is None:
-            continue
-        if c is None:
-            failures.append(f"host-work: {name}: vortex.work missing from the current run")
-            continue
-        compared += 1
-        for field in WORK_FIELDS:
-            if b.get(field) != c.get(field):
-                failures.append(f"host-work: {name}: {field} {b.get(field)} -> {c.get(field)}")
-    if set(base_benchmarks) == set(cur_benchmarks):
-        for field in WORK_FIELDS:
-            b, c = base["vortex_work"].get(field), cur["vortex_work"].get(field)
-            if b != c:
-                failures.append(f"host-work: suite {field} {b} -> {c}")
-    if not failures:
+    same_set = set(base_benchmarks) == set(cur_benchmarks)
+    failures = []
+
+    def gate(total_key, fields, per_benchmark):
+        """Compares one counter group; returns the benchmarks compared."""
+        if total_key not in base:
+            print(f"note: {host_baseline} has no {total_key} counters — skipping that "
+                  "part of the host-work gate (regenerate it with fgpu-run --host-json)")
+            return None
+        if total_key not in cur:
+            failures.append(f"host-work: {total_key} missing from {host_current}")
+            return None
+        compared = 0
+        for name in sorted(set(base_benchmarks) & set(cur_benchmarks)):
+            b = per_benchmark(base_benchmarks[name])
+            c = per_benchmark(cur_benchmarks[name])
+            if b is None:
+                continue
+            if c is None:
+                failures.append(f"host-work: {name}: {total_key} missing from the current run")
+                continue
+            compared += 1
+            for field in fields:
+                if b.get(field) != c.get(field):
+                    failures.append(f"host-work: {name}: {field} {b.get(field)} -> {c.get(field)}")
+        if same_set:
+            for field in fields:
+                b, c = base[total_key].get(field), cur[total_key].get(field)
+                if b != c:
+                    failures.append(f"host-work: suite {field} {b} -> {c}")
+        return compared
+
+    before = len(failures)
+    vortex_compared = gate("vortex_work", WORK_FIELDS,
+                           lambda bench: (bench.get("vortex") or {}).get("work"))
+    if vortex_compared is not None and len(failures) == before:
         total = cur["vortex_work"]
-        print(f"host-work: {compared} benchmarks match exactly; suite "
+        print(f"host-work: {vortex_compared} benchmarks match exactly; suite "
               f"{total.get('core_ticks')} core ticks ({total.get('core_ticks_slept')} slept), "
               f"{total.get('cluster_ticks')} cluster ticks, "
               f"{total.get('cycles_skipped')} cycles skipped")
+    before = len(failures)
+    kir_compared = gate("kir_work", KIR_WORK_FIELDS, lambda bench: bench.get("kir_work"))
+    if kir_compared is not None and len(failures) == before:
+        total = cur["kir_work"]
+        print(f"kir-work: {kir_compared} benchmarks match exactly; suite "
+              f"{total.get('launches')} launches, {total.get('node_visits')} node visits, "
+              f"{total.get('lane_ops')} lane ops, {total.get('loads')} loads, "
+              f"{total.get('stores')} stores")
     return failures
 
 
