@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <unordered_map>
 
+#include "arch/semantics.hpp"
+
 namespace fgpu::arch {
 namespace {
 
@@ -367,97 +369,19 @@ std::optional<unsigned> freg_by_name(const std::string& name) {
   return std::nullopt;
 }
 
-bool writes_freg(Op op) {
-  switch (op) {
-    case Op::kFlw:
-    case Op::kFaddS:
-    case Op::kFsubS:
-    case Op::kFmulS:
-    case Op::kFdivS:
-    case Op::kFsqrtS:
-    case Op::kFsgnjS:
-    case Op::kFsgnjnS:
-    case Op::kFsgnjxS:
-    case Op::kFminS:
-    case Op::kFmaxS:
-    case Op::kFcvtSW:
-    case Op::kFcvtSWu:
-    case Op::kFmvWX:
-    case Op::kFmaddS:
-    case Op::kFmsubS:
-    case Op::kFnmsubS:
-    case Op::kFnmaddS:
-      return true;
-    default:
-      return false;
-  }
+// Register files follow the lane table (arch/semantics.hpp); the FP load
+// and store are the only other ops touching the FP file.
+namespace {
+bool lane_slot_is_f(Op op, sem::Src sem::LaneShape::*slot) {
+  const auto shape = sem::lane_shape(op);
+  return shape && (*shape).*slot == sem::Src::kF;
 }
+}  // namespace
 
-bool reads_freg_rs1(Op op) {
-  switch (op) {
-    case Op::kFaddS:
-    case Op::kFsubS:
-    case Op::kFmulS:
-    case Op::kFdivS:
-    case Op::kFsqrtS:
-    case Op::kFsgnjS:
-    case Op::kFsgnjnS:
-    case Op::kFsgnjxS:
-    case Op::kFminS:
-    case Op::kFmaxS:
-    case Op::kFcvtWS:
-    case Op::kFcvtWuS:
-    case Op::kFmvXW:
-    case Op::kFclassS:
-    case Op::kFeqS:
-    case Op::kFltS:
-    case Op::kFleS:
-    case Op::kFmaddS:
-    case Op::kFmsubS:
-    case Op::kFnmsubS:
-    case Op::kFnmaddS:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool reads_freg_rs2(Op op) {
-  switch (op) {
-    case Op::kFsw:
-    case Op::kFaddS:
-    case Op::kFsubS:
-    case Op::kFmulS:
-    case Op::kFdivS:
-    case Op::kFsgnjS:
-    case Op::kFsgnjnS:
-    case Op::kFsgnjxS:
-    case Op::kFminS:
-    case Op::kFmaxS:
-    case Op::kFeqS:
-    case Op::kFltS:
-    case Op::kFleS:
-    case Op::kFmaddS:
-    case Op::kFmsubS:
-    case Op::kFnmsubS:
-    case Op::kFnmaddS:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool reads_freg_rs3(Op op) {
-  switch (op) {
-    case Op::kFmaddS:
-    case Op::kFmsubS:
-    case Op::kFnmsubS:
-    case Op::kFnmaddS:
-      return true;
-    default:
-      return false;
-  }
-}
+bool writes_freg(Op op) { return op == Op::kFlw || lane_slot_is_f(op, &sem::LaneShape::rd); }
+bool reads_freg_rs1(Op op) { return lane_slot_is_f(op, &sem::LaneShape::a); }
+bool reads_freg_rs2(Op op) { return op == Op::kFsw || lane_slot_is_f(op, &sem::LaneShape::b); }
+bool reads_freg_rs3(Op op) { return lane_slot_is_f(op, &sem::LaneShape::c); }
 
 std::string to_string(const Instr& in) {
   const OpInfo& info = op_info(in.op);

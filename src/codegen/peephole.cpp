@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "arch/isa.hpp"
+#include "arch/semantics.hpp"
 
 namespace fgpu::codegen {
 namespace {
@@ -77,51 +78,12 @@ int log2_u32(uint32_t v) {
   return n;
 }
 
-// RV32 integer semantics for constant folding, including the no-trap
-// division results (x/0 == -1, x%0 == x, INT_MIN / -1 == INT_MIN).
-std::optional<int32_t> fold_int(Op op, int32_t a, int32_t b) {
-  const uint32_t ua = static_cast<uint32_t>(a);
-  const uint32_t ub = static_cast<uint32_t>(b);
-  switch (op) {
-    case Op::kAdd:
-    case Op::kAddi: return static_cast<int32_t>(ua + ub);
-    case Op::kSub: return static_cast<int32_t>(ua - ub);
-    case Op::kAnd:
-    case Op::kAndi: return a & b;
-    case Op::kOr:
-    case Op::kOri: return a | b;
-    case Op::kXor:
-    case Op::kXori: return a ^ b;
-    case Op::kSll:
-    case Op::kSlli: return static_cast<int32_t>(ua << (ub & 31u));
-    case Op::kSrl:
-    case Op::kSrli: return static_cast<int32_t>(ua >> (ub & 31u));
-    case Op::kSra:
-    case Op::kSrai: return a >> (ub & 31u);
-    case Op::kSlt:
-    case Op::kSlti: return a < b ? 1 : 0;
-    case Op::kSltu:
-    case Op::kSltiu: return ua < ub ? 1 : 0;
-    case Op::kMul:
-      return static_cast<int32_t>(
-          static_cast<uint32_t>(static_cast<int64_t>(a) * static_cast<int64_t>(b)));
-    case Op::kDiv:
-      if (b == 0) return -1;
-      if (a == INT32_MIN && b == -1) return INT32_MIN;
-      return a / b;
-    case Op::kDivu:
-      if (b == 0) return -1;  // all ones
-      return static_cast<int32_t>(ua / ub);
-    case Op::kRem:
-      if (b == 0) return a;
-      if (a == INT32_MIN && b == -1) return 0;
-      return a % b;
-    case Op::kRemu:
-      if (b == 0) return a;
-      return static_cast<int32_t>(ua % ub);
-    default:
-      return std::nullopt;
-  }
+// Folded value of an integer instruction over constant operands: the
+// guest's own lane semantics (arch/semantics.hpp), so a folded result is
+// exactly what either execution tier would compute.
+int32_t fold_int(Op op, int32_t a, int32_t b) {
+  return static_cast<int32_t>(*arch::sem::eval_lane(op, static_cast<uint32_t>(a),
+                                                    static_cast<uint32_t>(b), 0));
 }
 
 // Integer I-form for an R-form op (constant in rs2), if one exists.
@@ -332,16 +294,14 @@ class Peep {
   void fold_instr(const Analysis& a, MInstr& m) {
     if (m.is_li || m.is_la || m.is_label() || m.target >= 0) return;
     if (is_int_imm_op(m.op)) {
-      if (auto c = cval(a, m.rs1)) {
-        if (auto v = fold_int(m.op, *c, m.imm)) rewrite_to_li(m, *v);
-      }
+      if (auto c = cval(a, m.rs1)) rewrite_to_li(m, fold_int(m.op, *c, m.imm));
       return;
     }
     if (!is_int_r_op(m.op)) return;
     auto c1 = cval(a, m.rs1);
     auto c2 = cval(a, m.rs2);
     if (c1 && c2) {
-      if (auto v = fold_int(m.op, *c1, *c2)) rewrite_to_li(m, *v);
+      rewrite_to_li(m, fold_int(m.op, *c1, *c2));
       return;
     }
     if (c1 && !c2 && is_commutative(m.op)) {
@@ -426,7 +386,7 @@ class Peep {
       const int t = m.rs1;
       if (auto c = cval(a, t)) {
         // Branch on a constant: always or never taken.
-        const bool taken = (m.op == Op::kBeq) == (*c == 0);
+        const bool taken = arch::sem::branch_taken(m.op, static_cast<uint32_t>(*c), 0);
         note(m, "peep.const-branch",
              taken ? "branch on constant made unconditional" : "never-taken branch removed");
         if (taken) {

@@ -46,6 +46,11 @@ bool parse_int(const std::string& s, int64_t& out) {
   return end != nullptr && *end == '\0';
 }
 
+// Field ranges: I/S-type immediates are signed 12-bit, U-type the 20-bit
+// upper value (as the disassembler prints it).
+bool fits_imm12(int64_t v) { return v >= -2048 && v <= 2047; }
+bool fits_imm20(int64_t v) { return v >= 0 && v <= 0xFFFFF; }
+
 class Assembler {
  public:
   explicit Assembler(uint32_t base) : base_(base) {}
@@ -153,6 +158,7 @@ class Assembler {
     std::string imm_text = strip(s.substr(0, open));
     if (imm_text.empty()) imm_text.push_back('0');  // not `= "0"`: GCC 12 -Wrestrict
     if (!parse_int(imm_text, v)) return error(line.number, "bad offset '" + imm_text + "'");
+    if (!fits_imm12(v)) return error(line.number, "immediate out of range: " + imm_text);
     imm = static_cast<int32_t>(v);
     auto r = xreg(line, strip(s.substr(open + 1, close - open - 1)));
     if (!r.is_ok()) return r.status();
@@ -300,6 +306,9 @@ class Assembler {
         if (!rs1.is_ok()) return rs1.status();
         int64_t v = 0;
         if (!parse_int(line.operands[2], v)) return error(line.number, "bad immediate");
+        if (!fits_imm12(v)) {
+          return error(line.number, "immediate out of range: " + line.operands[2]);
+        }
         builder_.emit_i(*maybe, *rd, *rs1, static_cast<int32_t>(v));
         return Status::ok();
       }
@@ -353,6 +362,9 @@ class Assembler {
         if (!rd.is_ok()) return rd.status();
         int64_t v = 0;
         if (!parse_int(line.operands[1], v)) return error(line.number, "bad immediate");
+        if (!fits_imm20(v)) {
+          return error(line.number, "immediate out of range: " + line.operands[1]);
+        }
         builder_.emit_u(*maybe, *rd, static_cast<int32_t>(v));
         return Status::ok();
       }

@@ -3,12 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cmath>
-#include <cstring>
-#include <limits>
 #include <stdexcept>
 
-#include "common/bits.hpp"
 #include "common/log.hpp"
 #include "trace/trace.hpp"
 
@@ -32,8 +28,6 @@ constexpr uint64_t kIdSlotMask = (1ull << kIdSlotBits) - 1;
 // cache unboundedly).
 constexpr uint32_t kDecodeCacheMaxWords = 1u << 20;
 
-int32_t as_i32(uint32_t v) { return static_cast<int32_t>(v); }
-
 // Round-robin scheduling over a warp mask: the set bits at or above the
 // cursor `start` in ascending order, then the ones below it. `fn` returns
 // true to stop the walk.
@@ -54,18 +48,22 @@ uint32_t first_rr(uint64_t mask, uint32_t start) {
   return static_cast<uint32_t>(std::countr_zero(high != 0 ? high : mask));
 }
 
-uint32_t fcvt_w_s(float f, bool is_unsigned) {
-  if (std::isnan(f)) {
-    return is_unsigned ? 0xFFFFFFFFu : 0x7FFFFFFFu;
-  }
-  if (is_unsigned) {
-    if (f <= -1.0f) return 0;
-    if (f >= 4294967296.0f) return 0xFFFFFFFFu;
-    return static_cast<uint32_t>(f);
-  }
-  if (f <= -2147483648.0f) return 0x80000000u;
-  if (f >= 2147483648.0f) return 0x7FFFFFFFu;
-  return static_cast<uint32_t>(static_cast<int32_t>(f));
+// Ops whose rd is written at issue and released by the scoreboard after
+// the unit latency (the LSU releases the destinations it writes itself).
+bool writes_rd_at_issue(Op op) {
+  return arch::sem::is_lane_op(op) || op == Op::kJal || op == Op::kJalr || op == Op::kCsrrw ||
+         op == Op::kCsrrs || op == Op::kCsrrc;
+}
+
+// One lane-op operand, read from the lane's register rows.
+template <arch::sem::Src src>
+uint32_t operand(const uint32_t* x, const uint32_t* f, uint8_t reg, uint32_t imm, uint32_t pc) {
+  using arch::sem::Src;
+  if constexpr (src == Src::kX) return x[reg];
+  if constexpr (src == Src::kF) return f[reg];
+  if constexpr (src == Src::kImm) return imm;
+  if constexpr (src == Src::kPc) return pc;
+  return 0;
 }
 
 }  // namespace
@@ -82,9 +80,7 @@ Core::Core(const Config& config, uint32_t core_id, mem::MainMemory& gmem, mem::M
       xregs_(config.warps * config.threads * 32, 0),
       fregs_(config.warps * config.threads * 32, 0),
       lsu_queue_(config.lsu_queue_depth),
-      lsu_free_(config.lsu_queue_depth),
-      barrier_arrived_(32, 0),
-      barrier_expected_(32, 0) {
+      lsu_free_(config.lsu_queue_depth) {
   assert(config_.warps <= kMaxWarps && "warp index must fit the state masks");
   assert(config_.lsu_queue_depth <= (1u << kIdSlotBits) && "LSU slot must fit the id slot byte");
   for (auto& warp : warps_) warp.ibuffer.init(std::max(1u, config_.ibuffer_depth));
@@ -122,13 +118,7 @@ Core::Core(const Config& config, uint32_t core_id, mem::MainMemory& gmem, mem::M
     warp.fetch_pending = false;
     progressed_ = true;
     if (warp.generation == warp.fetch_generation && warp.active) {
-      if (const DecodedInstr* decoded = decode_at(warp.fetch_pc)) {
-        warp.ibuffer.push(FetchSlot{*decoded, warp.fetch_pc});
-      } else {
-        FGPU_LOG(kError, "core %u warp %u: invalid instruction at %08x", core_id_, w,
-                 warp.fetch_pc);
-        warp.active = false;
-      }
+      warp.ibuffer.push(FetchSlot{*decode_at(warp.fetch_pc), warp.fetch_pc});
     }
     sync_warp(w);
   });
@@ -153,8 +143,7 @@ void Core::reset(uint32_t entry_pc) {
   wake_at_ = kNoWake;
   std::fill(std::begin(fu_ready_), std::end(fu_ready_), 0ull);
   fu_ready_max_ = 0;
-  std::fill(barrier_arrived_.begin(), barrier_arrived_.end(), 0u);
-  std::fill(barrier_expected_.begin(), barrier_expected_.end(), 0u);
+  barriers_ = arch::Barriers{};
   issue_rr_ = fetch_rr_ = 0;
   instret_ = 0;
   perf_ = PerfCounters{};
@@ -206,28 +195,6 @@ uint32_t Core::freg_bits(uint32_t warp, uint32_t lane, uint32_t index) const {
   return fregs_[(warp * config_.threads + lane) * 32 + index];
 }
 
-uint32_t Core::first_active_lane(uint64_t mask) const {
-  for (uint32_t lane = 0; lane < config_.threads; ++lane) {
-    if (mask & (1ull << lane)) return lane;
-  }
-  return 0;
-}
-
-uint32_t Core::read_csr(uint32_t csr, uint32_t warp_id, uint32_t lane, uint64_t cycle) const {
-  switch (csr) {
-    case arch::kCsrThreadId: return lane;
-    case arch::kCsrWarpId: return warp_id;
-    case arch::kCsrCoreId: return core_id_;
-    case arch::kCsrTmask: return static_cast<uint32_t>(warps_[warp_id].tmask);
-    case arch::kCsrNumThreads: return config_.threads;
-    case arch::kCsrNumWarps: return config_.warps;
-    case arch::kCsrNumCores: return config_.cores;
-    case arch::kCsrCycle: return static_cast<uint32_t>(cycle);
-    case arch::kCsrInstret: return static_cast<uint32_t>(instret_);
-    default: return 0;
-  }
-}
-
 void Core::redirect(Warp& warp, uint32_t new_pc) {
   warp.pc = new_pc;
   ++warp.generation;
@@ -235,27 +202,22 @@ void Core::redirect(Warp& warp, uint32_t new_pc) {
 }
 
 void Core::barrier_arrive(uint32_t warp_id, uint32_t id, uint32_t count, uint64_t cycle) {
-  assert(id < barrier_arrived_.size());
   Warp& warp = warps_[warp_id];
   warp.at_barrier = true;
   warp.barrier_id = id;
-  barrier_expected_[id] = count;
-  ++barrier_arrived_[id];
   ++perf_.barriers;
   FGPU_TRACE_INSTANT("barrier_arrive", "warp", core_id_, cycle,
-                     {{"warp", warp_id}, {"barrier", id}, {"arrived", barrier_arrived_[id]}});
-  if (barrier_arrived_[id] >= barrier_expected_[id]) {
-    for (uint32_t w = 0; w < config_.warps; ++w) {
-      Warp& other = warps_[w];
-      if (other.at_barrier && other.barrier_id == id) {
-        other.at_barrier = false;
-        sync_warp(w);
-      }
+                     {{"warp", warp_id}, {"barrier", id}, {"arrived", barriers_.arrived[id] + 1}});
+  if (!arch::sem::barrier_arrive(barriers_, id, count)) return;
+  for (uint32_t w = 0; w < config_.warps; ++w) {
+    Warp& other = warps_[w];
+    if (other.at_barrier && other.barrier_id == id) {
+      other.at_barrier = false;
+      sync_warp(w);
     }
-    barrier_arrived_[id] = 0;
-    FGPU_TRACE_INSTANT("barrier_release", "warp", core_id_, cycle,
-                       {{"barrier", id}, {"warps", count}});
   }
+  FGPU_TRACE_INSTANT("barrier_release", "warp", core_id_, cycle,
+                     {{"barrier", id}, {"warps", count}});
 }
 
 void Core::tick_caches(uint64_t cycle) {
@@ -398,14 +360,19 @@ void Core::fill_issue_metadata(DecodedInstr* d) {
   d->need_f = need_f;
   d->fu = static_cast<uint8_t>(info.fu);
   d->is_lsu = info.fu == arch::FuClass::kLsu;
-  d->is_store = instr.op == Op::kSb || instr.op == Op::kSh || instr.op == Op::kSw ||
-                instr.op == Op::kFsw;
+  d->is_store = arch::sem::is_store(instr.op);
+  d->rd_at_issue = writes_rd_at_issue(instr.op);
+  d->rd_float = arch::writes_freg(instr.op);
 }
 
 // Decode through the per-core PC -> DecodedInstr cache. The cache is indexed
 // by code-region word offset, grown on demand, and invalidated wholesale at
 // reset() (the kernel-launch boundary — the same point the L1I is flushed).
+// An undecodable word (sequential fetch runs past a kernel's last
+// instruction) decodes, uncached, to Op::kInvalid: it faults only if it
+// issues, as on the turbo tier.
 const Core::DecodedInstr* Core::decode_at(uint32_t pc) {
+  static const DecodedInstr kInvalid{};
   const uint32_t word_index = (pc - arch::kCodeBase) / 4;
   const bool cacheable = pc >= arch::kCodeBase && pc % 4 == 0 &&
                          word_index < kDecodeCacheMaxWords;
@@ -415,7 +382,7 @@ const Core::DecodedInstr* Core::decode_at(uint32_t pc) {
   }
   const uint32_t word = gmem_.load32(pc);
   auto decoded = arch::decode(word);
-  if (!decoded) return nullptr;
+  if (!decoded) return &kInvalid;
   if (!cacheable) {
     // Off-region PC (runaway jump): decode into a scratch slot, uncached.
     static thread_local DecodedInstr scratch;
@@ -530,548 +497,35 @@ void Core::do_issue(uint64_t cycle) {
   }
 }
 
-void Core::execute(uint32_t w, const FetchSlot& slot, uint64_t cycle) {
-  const Instr& in = slot.decoded.instr;
-  const auto& info = arch::op_info(in.op);
-  Warp& warp = warps_[w];
-  const uint64_t mask = warp.tmask;
-  const uint32_t pc = slot.pc;
-
-  if (config_.trace) {
-    config_.trace(TraceEvent{core_id_, w, pc, mask, in, cycle});
-  }
-
-  // Non-pipelined units block further issue to the same unit.
-  if (info.fu == arch::FuClass::kSfu ||
-      (info.fu == arch::FuClass::kMulDiv && info.latency > 4)) {
-    fu_ready_[static_cast<size_t>(info.fu)] = cycle + info.latency;
-    fu_ready_max_ = std::max(fu_ready_max_, cycle + info.latency);
-  }
-
-  auto schedule_rd = [&](bool is_float) {
-    if (!is_float && in.rd == 0) return;
-    if (is_float) {
-      warp.busy_f |= (1u << in.rd);
-    } else {
-      warp.busy_x |= (1u << in.rd);
-    }
-    completions_.push_back(Completion{cycle + info.latency, w, in.rd, is_float});
-    completions_min_ready_ = std::min(completions_min_ready_, cycle + info.latency);
-  };
-
-  auto for_lanes = [&](auto&& fn) {
-    for (uint32_t lane = 0; lane < config_.threads; ++lane) {
-      if (mask & (1ull << lane)) fn(lane);
-    }
-  };
-
-  switch (in.op) {
-    // ---------------- ALU ----------------
-    case Op::kLui:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = static_cast<uint32_t>(in.imm) << 12; });
-      schedule_rd(false);
-      break;
-    case Op::kAuipc:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = pc + (static_cast<uint32_t>(in.imm) << 12); });
-      schedule_rd(false);
-      break;
-    case Op::kAddi:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = xr(w, l, in.rs1) + static_cast<uint32_t>(in.imm); });
-      schedule_rd(false);
-      break;
-    case Op::kSlti:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = as_i32(xr(w, l, in.rs1)) < in.imm ? 1 : 0; });
-      schedule_rd(false);
-      break;
-    case Op::kSltiu:
-      for_lanes([&](uint32_t l) {
-        xr(w, l, in.rd) = xr(w, l, in.rs1) < static_cast<uint32_t>(in.imm) ? 1 : 0;
-      });
-      schedule_rd(false);
-      break;
-    case Op::kXori:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = xr(w, l, in.rs1) ^ static_cast<uint32_t>(in.imm); });
-      schedule_rd(false);
-      break;
-    case Op::kOri:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = xr(w, l, in.rs1) | static_cast<uint32_t>(in.imm); });
-      schedule_rd(false);
-      break;
-    case Op::kAndi:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = xr(w, l, in.rs1) & static_cast<uint32_t>(in.imm); });
-      schedule_rd(false);
-      break;
-    case Op::kSlli:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = xr(w, l, in.rs1) << in.imm; });
-      schedule_rd(false);
-      break;
-    case Op::kSrli:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = xr(w, l, in.rs1) >> in.imm; });
-      schedule_rd(false);
-      break;
-    case Op::kSrai:
-      for_lanes([&](uint32_t l) {
-        xr(w, l, in.rd) = static_cast<uint32_t>(as_i32(xr(w, l, in.rs1)) >> in.imm);
-      });
-      schedule_rd(false);
-      break;
-    case Op::kAdd:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = xr(w, l, in.rs1) + xr(w, l, in.rs2); });
-      schedule_rd(false);
-      break;
-    case Op::kSub:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = xr(w, l, in.rs1) - xr(w, l, in.rs2); });
-      schedule_rd(false);
-      break;
-    case Op::kSll:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = xr(w, l, in.rs1) << (xr(w, l, in.rs2) & 31); });
-      schedule_rd(false);
-      break;
-    case Op::kSlt:
-      for_lanes([&](uint32_t l) {
-        xr(w, l, in.rd) = as_i32(xr(w, l, in.rs1)) < as_i32(xr(w, l, in.rs2)) ? 1 : 0;
-      });
-      schedule_rd(false);
-      break;
-    case Op::kSltu:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = xr(w, l, in.rs1) < xr(w, l, in.rs2) ? 1 : 0; });
-      schedule_rd(false);
-      break;
-    case Op::kXor:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = xr(w, l, in.rs1) ^ xr(w, l, in.rs2); });
-      schedule_rd(false);
-      break;
-    case Op::kSrl:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = xr(w, l, in.rs1) >> (xr(w, l, in.rs2) & 31); });
-      schedule_rd(false);
-      break;
-    case Op::kSra:
-      for_lanes([&](uint32_t l) {
-        xr(w, l, in.rd) = static_cast<uint32_t>(as_i32(xr(w, l, in.rs1)) >> (xr(w, l, in.rs2) & 31));
-      });
-      schedule_rd(false);
-      break;
-    case Op::kOr:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = xr(w, l, in.rs1) | xr(w, l, in.rs2); });
-      schedule_rd(false);
-      break;
-    case Op::kAnd:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = xr(w, l, in.rs1) & xr(w, l, in.rs2); });
-      schedule_rd(false);
-      break;
-    // ---------------- MUL/DIV ----------------
-    case Op::kMul:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = xr(w, l, in.rs1) * xr(w, l, in.rs2); });
-      schedule_rd(false);
-      break;
-    case Op::kMulh:
-      for_lanes([&](uint32_t l) {
-        const int64_t p = static_cast<int64_t>(as_i32(xr(w, l, in.rs1))) *
-                          static_cast<int64_t>(as_i32(xr(w, l, in.rs2)));
-        xr(w, l, in.rd) = static_cast<uint32_t>(static_cast<uint64_t>(p) >> 32);
-      });
-      schedule_rd(false);
-      break;
-    case Op::kMulhsu:
-      for_lanes([&](uint32_t l) {
-        const int64_t p = static_cast<int64_t>(as_i32(xr(w, l, in.rs1))) *
-                          static_cast<int64_t>(static_cast<uint64_t>(xr(w, l, in.rs2)));
-        xr(w, l, in.rd) = static_cast<uint32_t>(static_cast<uint64_t>(p) >> 32);
-      });
-      schedule_rd(false);
-      break;
-    case Op::kMulhu:
-      for_lanes([&](uint32_t l) {
-        const uint64_t p =
-            static_cast<uint64_t>(xr(w, l, in.rs1)) * static_cast<uint64_t>(xr(w, l, in.rs2));
-        xr(w, l, in.rd) = static_cast<uint32_t>(p >> 32);
-      });
-      schedule_rd(false);
-      break;
-    case Op::kDiv:
-      for_lanes([&](uint32_t l) {
-        const int32_t a = as_i32(xr(w, l, in.rs1)), b = as_i32(xr(w, l, in.rs2));
-        int32_t r;
-        if (b == 0) {
-          r = -1;
-        } else if (a == std::numeric_limits<int32_t>::min() && b == -1) {
-          r = a;
-        } else {
-          r = a / b;
-        }
-        xr(w, l, in.rd) = static_cast<uint32_t>(r);
-      });
-      schedule_rd(false);
-      break;
-    case Op::kDivu:
-      for_lanes([&](uint32_t l) {
-        const uint32_t a = xr(w, l, in.rs1), b = xr(w, l, in.rs2);
-        xr(w, l, in.rd) = b == 0 ? 0xFFFFFFFFu : a / b;
-      });
-      schedule_rd(false);
-      break;
-    case Op::kRem:
-      for_lanes([&](uint32_t l) {
-        const int32_t a = as_i32(xr(w, l, in.rs1)), b = as_i32(xr(w, l, in.rs2));
-        int32_t r;
-        if (b == 0) {
-          r = a;
-        } else if (a == std::numeric_limits<int32_t>::min() && b == -1) {
-          r = 0;
-        } else {
-          r = a % b;
-        }
-        xr(w, l, in.rd) = static_cast<uint32_t>(r);
-      });
-      schedule_rd(false);
-      break;
-    case Op::kRemu:
-      for_lanes([&](uint32_t l) {
-        const uint32_t a = xr(w, l, in.rs1), b = xr(w, l, in.rs2);
-        xr(w, l, in.rd) = b == 0 ? a : a % b;
-      });
-      schedule_rd(false);
-      break;
-    // ---------------- control flow ----------------
-    case Op::kJal:
-      if (in.rd != 0) {
-        for_lanes([&](uint32_t l) { xr(w, l, in.rd) = pc + 4; });
-        schedule_rd(false);
-      }
-      ++perf_.branches;
-      redirect(warp, pc + static_cast<uint32_t>(in.imm));
-      break;
-    case Op::kJalr: {
-      const uint32_t target =
-          (xr(w, first_active_lane(mask), in.rs1) + static_cast<uint32_t>(in.imm)) & ~1u;
-      if (in.rd != 0) {
-        for_lanes([&](uint32_t l) { xr(w, l, in.rd) = pc + 4; });
-        schedule_rd(false);
-      }
-      ++perf_.branches;
-      redirect(warp, target);
-      break;
-    }
-    case Op::kBeq:
-    case Op::kBne:
-    case Op::kBlt:
-    case Op::kBge:
-    case Op::kBltu:
-    case Op::kBgeu: {
-      const uint32_t lane = first_active_lane(mask);
-      const uint32_t a = xr(w, lane, in.rs1), b = xr(w, lane, in.rs2);
-      bool taken = false;
-      switch (in.op) {
-        case Op::kBeq: taken = a == b; break;
-        case Op::kBne: taken = a != b; break;
-        case Op::kBlt: taken = as_i32(a) < as_i32(b); break;
-        case Op::kBge: taken = as_i32(a) >= as_i32(b); break;
-        case Op::kBltu: taken = a < b; break;
-        case Op::kBgeu: taken = a >= b; break;
-        default: break;
-      }
-      ++perf_.branches;
-      if (taken) redirect(warp, pc + static_cast<uint32_t>(in.imm));
-      break;
-    }
-    // ---------------- CSR / system ----------------
-    case Op::kCsrrw:
-    case Op::kCsrrs:
-    case Op::kCsrrc:
-      // Machine-information CSRs are read-only; writes are ignored.
-      for_lanes([&](uint32_t l) {
-        if (in.rd != 0) xr(w, l, in.rd) = read_csr(static_cast<uint32_t>(in.imm), w, l, cycle);
-      });
-      schedule_rd(false);
-      break;
-    case Op::kEcall:
-      for_lanes([&](uint32_t l) {
-        if (ecall_handler_) {
-          ecall_handler_(EcallRequest{core_id_, w, l, xr(w, l, 17), xr(w, l, 10)}, gmem_);
-        }
-      });
-      break;
-    case Op::kFence:
-      break;  // memory ordering is already program order in this model
-    // ---------------- SIMT control ----------------
-    case Op::kTmc: {
-      const uint64_t full = (config_.threads >= 64) ? ~0ull : ((1ull << config_.threads) - 1);
-      const uint64_t value = xr(w, first_active_lane(mask), in.rs1) & full;
-      warp.tmask = value;
-      if (value == 0) {
-        warp.active = false;
-        FGPU_TRACE_INSTANT("warp_exit", "warp", core_id_, cycle, {{"warp", w}});
-      }
-      break;
-    }
-    case Op::kWspawn: {
-      const uint32_t lane = first_active_lane(mask);
-      const uint32_t count = std::min(xr(w, lane, in.rs1), config_.warps);
-      const uint32_t target = xr(w, lane, in.rs2);
-      uint32_t spawned_now = 0;
-      for (uint32_t i = 1; i < count; ++i) {
-        Warp& spawned = warps_[i];
-        if (spawned.active) continue;
-        spawned.reset();  // keeps the ibuffer/ipdom storage allocations
-        spawned.active = true;
-        spawned.pc = target;
-        spawned.tmask = 1;
-        sync_warp(i);
-        ++perf_.warps_spawned;
-        ++spawned_now;
-      }
-      FGPU_TRACE_INSTANT("wspawn", "warp", core_id_, cycle,
-                         {{"by_warp", w}, {"spawned", spawned_now}, {"entry_pc", target}});
-      break;
-    }
-    case Op::kSplit: {
-      uint64_t taken = 0;
-      for_lanes([&](uint32_t l) {
-        if (xr(w, l, in.rs1) != 0) taken |= (1ull << l);
-      });
-      const uint64_t nottaken = mask & ~taken;
-      ++perf_.branches;
-      if (nottaken == 0) {
-        warp.ipdom.push_back({IpdomEntry::kUniform, 0, 0});
-      } else if (taken == 0) {
-        warp.ipdom.push_back({IpdomEntry::kUniform, 0, 0});
-        redirect(warp, pc + static_cast<uint32_t>(in.imm));
-      } else {
-        ++perf_.divergent_branches;
-        warp.ipdom.push_back({IpdomEntry::kRestore, mask, 0});
-        warp.ipdom.push_back({IpdomEntry::kElse, nottaken, pc + static_cast<uint32_t>(in.imm)});
-        warp.tmask = taken;
-      }
-      break;
-    }
-    case Op::kJoin: {
-      ++perf_.joins;
-      if (warp.ipdom.empty()) {
-        FGPU_LOG(kError, "core %u warp %u: JOIN with empty IPDOM stack at %08x", core_id_, w, pc);
-        warp.active = false;
-        break;
-      }
-      const IpdomEntry entry = warp.ipdom.back();
-      warp.ipdom.pop_back();
-      switch (entry.kind) {
-        case IpdomEntry::kUniform:
-          redirect(warp, pc + static_cast<uint32_t>(in.imm));
-          break;
-        case IpdomEntry::kElse:
-          warp.tmask = entry.mask;
-          redirect(warp, entry.pc);
-          break;
-        case IpdomEntry::kRestore:
-          warp.tmask = entry.mask;
-          redirect(warp, pc + static_cast<uint32_t>(in.imm));
-          break;
-      }
-      break;
-    }
-    case Op::kPred: {
-      uint64_t alive = 0;
-      for_lanes([&](uint32_t l) {
-        if (xr(w, l, in.rs1) != 0) alive |= (1ull << l);
-      });
-      ++perf_.branches;
-      if (alive == 0) {
-        redirect(warp, pc + static_cast<uint32_t>(in.imm));
-      } else {
-        if (alive != mask) ++perf_.divergent_branches;
-        warp.tmask = alive;
-      }
-      break;
-    }
-    case Op::kBar: {
-      const uint32_t lane = first_active_lane(mask);
-      barrier_arrive(w, xr(w, lane, in.rs1) & 31, xr(w, lane, in.rs2), cycle);
-      break;
-    }
-    // ---------------- FPU ----------------
-    case Op::kFaddS:
-      for_lanes([&](uint32_t l) {
-        fr(w, l, in.rd) = f2u(u2f(fr(w, l, in.rs1)) + u2f(fr(w, l, in.rs2)));
-      });
-      schedule_rd(true);
-      break;
-    case Op::kFsubS:
-      for_lanes([&](uint32_t l) {
-        fr(w, l, in.rd) = f2u(u2f(fr(w, l, in.rs1)) - u2f(fr(w, l, in.rs2)));
-      });
-      schedule_rd(true);
-      break;
-    case Op::kFmulS:
-      for_lanes([&](uint32_t l) {
-        fr(w, l, in.rd) = f2u(u2f(fr(w, l, in.rs1)) * u2f(fr(w, l, in.rs2)));
-      });
-      schedule_rd(true);
-      break;
-    case Op::kFdivS:
-      for_lanes([&](uint32_t l) {
-        fr(w, l, in.rd) = f2u(u2f(fr(w, l, in.rs1)) / u2f(fr(w, l, in.rs2)));
-      });
-      schedule_rd(true);
-      break;
-    case Op::kFsqrtS:
-      for_lanes([&](uint32_t l) { fr(w, l, in.rd) = f2u(std::sqrt(u2f(fr(w, l, in.rs1)))); });
-      schedule_rd(true);
-      break;
-    case Op::kFsgnjS:
-      for_lanes([&](uint32_t l) {
-        fr(w, l, in.rd) = (fr(w, l, in.rs1) & 0x7FFFFFFFu) | (fr(w, l, in.rs2) & 0x80000000u);
-      });
-      schedule_rd(true);
-      break;
-    case Op::kFsgnjnS:
-      for_lanes([&](uint32_t l) {
-        fr(w, l, in.rd) = (fr(w, l, in.rs1) & 0x7FFFFFFFu) | (~fr(w, l, in.rs2) & 0x80000000u);
-      });
-      schedule_rd(true);
-      break;
-    case Op::kFsgnjxS:
-      for_lanes([&](uint32_t l) {
-        fr(w, l, in.rd) = fr(w, l, in.rs1) ^ (fr(w, l, in.rs2) & 0x80000000u);
-      });
-      schedule_rd(true);
-      break;
-    case Op::kFminS:
-      for_lanes([&](uint32_t l) {
-        fr(w, l, in.rd) = f2u(std::fmin(u2f(fr(w, l, in.rs1)), u2f(fr(w, l, in.rs2))));
-      });
-      schedule_rd(true);
-      break;
-    case Op::kFmaxS:
-      for_lanes([&](uint32_t l) {
-        fr(w, l, in.rd) = f2u(std::fmax(u2f(fr(w, l, in.rs1)), u2f(fr(w, l, in.rs2))));
-      });
-      schedule_rd(true);
-      break;
-    case Op::kFcvtWS:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = fcvt_w_s(u2f(fr(w, l, in.rs1)), false); });
-      schedule_rd(false);
-      break;
-    case Op::kFcvtWuS:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = fcvt_w_s(u2f(fr(w, l, in.rs1)), true); });
-      schedule_rd(false);
-      break;
-    case Op::kFcvtSW:
-      for_lanes([&](uint32_t l) {
-        fr(w, l, in.rd) = f2u(static_cast<float>(as_i32(xr(w, l, in.rs1))));
-      });
-      schedule_rd(true);
-      break;
-    case Op::kFcvtSWu:
-      for_lanes([&](uint32_t l) { fr(w, l, in.rd) = f2u(static_cast<float>(xr(w, l, in.rs1))); });
-      schedule_rd(true);
-      break;
-    case Op::kFmvXW:
-      for_lanes([&](uint32_t l) { xr(w, l, in.rd) = fr(w, l, in.rs1); });
-      schedule_rd(false);
-      break;
-    case Op::kFmvWX:
-      for_lanes([&](uint32_t l) { fr(w, l, in.rd) = xr(w, l, in.rs1); });
-      schedule_rd(true);
-      break;
-    case Op::kFclassS:
-      for_lanes([&](uint32_t l) {
-        const float f = u2f(fr(w, l, in.rs1));
-        uint32_t cls = 0;
-        if (std::isnan(f)) {
-          cls = 1u << 9;  // quiet NaN (we do not distinguish signalling)
-        } else if (std::isinf(f)) {
-          cls = f < 0 ? 1u << 0 : 1u << 7;
-        } else if (f == 0.0f) {
-          cls = std::signbit(f) ? 1u << 3 : 1u << 4;
-        } else if (std::fpclassify(f) == FP_SUBNORMAL) {
-          cls = f < 0 ? 1u << 2 : 1u << 5;
-        } else {
-          cls = f < 0 ? 1u << 1 : 1u << 6;
-        }
-        xr(w, l, in.rd) = cls;
-      });
-      schedule_rd(false);
-      break;
-    case Op::kFeqS:
-      for_lanes([&](uint32_t l) {
-        xr(w, l, in.rd) = u2f(fr(w, l, in.rs1)) == u2f(fr(w, l, in.rs2)) ? 1 : 0;
-      });
-      schedule_rd(false);
-      break;
-    case Op::kFltS:
-      for_lanes([&](uint32_t l) {
-        xr(w, l, in.rd) = u2f(fr(w, l, in.rs1)) < u2f(fr(w, l, in.rs2)) ? 1 : 0;
-      });
-      schedule_rd(false);
-      break;
-    case Op::kFleS:
-      for_lanes([&](uint32_t l) {
-        xr(w, l, in.rd) = u2f(fr(w, l, in.rs1)) <= u2f(fr(w, l, in.rs2)) ? 1 : 0;
-      });
-      schedule_rd(false);
-      break;
-    case Op::kFmaddS:
-      for_lanes([&](uint32_t l) {
-        fr(w, l, in.rd) = f2u(u2f(fr(w, l, in.rs1)) * u2f(fr(w, l, in.rs2)) + u2f(fr(w, l, in.rs3)));
-      });
-      schedule_rd(true);
-      break;
-    case Op::kFmsubS:
-      for_lanes([&](uint32_t l) {
-        fr(w, l, in.rd) = f2u(u2f(fr(w, l, in.rs1)) * u2f(fr(w, l, in.rs2)) - u2f(fr(w, l, in.rs3)));
-      });
-      schedule_rd(true);
-      break;
-    case Op::kFnmsubS:
-      for_lanes([&](uint32_t l) {
-        fr(w, l, in.rd) =
-            f2u(-(u2f(fr(w, l, in.rs1)) * u2f(fr(w, l, in.rs2))) + u2f(fr(w, l, in.rs3)));
-      });
-      schedule_rd(true);
-      break;
-    case Op::kFnmaddS:
-      for_lanes([&](uint32_t l) {
-        fr(w, l, in.rd) =
-            f2u(-(u2f(fr(w, l, in.rs1)) * u2f(fr(w, l, in.rs2))) - u2f(fr(w, l, in.rs3)));
-      });
-      schedule_rd(true);
-      break;
-    // ---------------- memory ----------------
-    case Op::kLb:
-    case Op::kLh:
-    case Op::kLw:
-    case Op::kLbu:
-    case Op::kLhu:
-    case Op::kFlw:
-    case Op::kSb:
-    case Op::kSh:
-    case Op::kSw:
-    case Op::kFsw:
-    case Op::kLrW:
-    case Op::kScW:
-    case Op::kAmoswapW:
-    case Op::kAmoaddW:
-    case Op::kAmoandW:
-    case Op::kAmoorW:
-    case Op::kAmoxorW:
-    case Op::kAmominW:
-    case Op::kAmomaxW:
-      execute_memory(w, in, pc, cycle);
-      break;
-    default:
-      FGPU_LOG(kError, "core %u: unimplemented op '%s' at %08x", core_id_,
-               arch::op_info(in.op).name, pc);
-      warp.active = false;
-      break;
+// The per-op bodies are forced inline into execute()'s switch: a call per
+// issued instruction is measurable in the cycle-exact hot loop.
+template <Op op>
+[[gnu::always_inline]] inline void Core::execute_lanes(uint32_t w, const Instr& in, uint32_t pc) {
+  using L = arch::sem::Lane<op>;
+  using arch::sem::Src;
+  if (L::kRd == Src::kX && in.rd == 0) return;  // x0 is hardwired to zero
+  const uint64_t mask = warps_[w].tmask;
+  const uint32_t imm = static_cast<uint32_t>(in.imm);
+  for (uint32_t lane = 0; lane < config_.threads; ++lane) {
+    if (!(mask & (1ull << lane))) continue;
+    const size_t row = (w * config_.threads + lane) * 32;
+    const uint32_t* const x = &xregs_[row];
+    const uint32_t* const f = &fregs_[row];
+    const uint32_t value = L::eval(operand<L::kA>(x, f, in.rs1, imm, pc),
+                                   operand<L::kB>(x, f, in.rs2, imm, pc),
+                                   operand<L::kC>(x, f, in.rs3, imm, pc));
+    (L::kRd == Src::kF ? fregs_ : xregs_)[row + in.rd] = value;
   }
 }
 
-void Core::execute_memory(uint32_t w, const Instr& in, uint32_t pc, uint64_t cycle) {
+template <Op op>
+[[gnu::always_inline]] inline void Core::execute_memory(uint32_t w, const Instr& in, uint32_t pc, uint64_t cycle) {
+  namespace sem = arch::sem;
+  constexpr bool is_amo = sem::is_atomic(op);
+  constexpr bool is_store = sem::is_store(op);
+  constexpr bool is_float = op == Op::kFlw;
   Warp& warp = warps_[w];
   const uint64_t mask = warp.tmask;
-  const bool is_amo = arch::op_info(in.op).fmt == arch::Format::kAmo;
-  const bool is_store = in.op == Op::kSb || in.op == Op::kSh || in.op == Op::kSw ||
-                        in.op == Op::kFsw;
-  const bool is_float = in.op == Op::kFlw;
   const bool has_rd = !is_store && (is_float || in.rd != 0 || is_amo);
 
   if (is_store) {
@@ -1084,57 +538,20 @@ void Core::execute_memory(uint32_t w, const Instr& in, uint32_t pc, uint64_t cyc
 
   std::vector<uint32_t> lines;
   bool all_local = true;
-  bool any_local = false;
 
   for (uint32_t lane = 0; lane < config_.threads; ++lane) {
     if (!(mask & (1ull << lane))) continue;
-    const uint32_t base = xr(w, lane, in.rs1);
-    const uint32_t addr = base + static_cast<uint32_t>(is_amo ? 0 : in.imm);
+    const uint32_t addr = sem::mem_addr<op>(xr(w, lane, in.rs1), in.imm);
     const bool local = is_local_addr(addr);
     all_local &= local;
-    any_local |= local;
-    mem::MainMemory& memory = local ? local_mem_ : gmem_;
 
     // Functional access now; timing modelled below.
-    switch (in.op) {
-      case Op::kLb: xr(w, lane, in.rd) = static_cast<uint32_t>(static_cast<int8_t>(memory.load8(addr))); break;
-      case Op::kLbu: xr(w, lane, in.rd) = memory.load8(addr); break;
-      case Op::kLh: xr(w, lane, in.rd) = static_cast<uint32_t>(static_cast<int16_t>(memory.load16(addr))); break;
-      case Op::kLhu: xr(w, lane, in.rd) = memory.load16(addr); break;
-      case Op::kLw: xr(w, lane, in.rd) = memory.load32(addr); break;
-      case Op::kFlw: fr(w, lane, in.rd) = memory.load32(addr); break;
-      case Op::kSb: memory.store8(addr, static_cast<uint8_t>(xr(w, lane, in.rs2))); break;
-      case Op::kSh: memory.store16(addr, static_cast<uint16_t>(xr(w, lane, in.rs2))); break;
-      case Op::kSw: memory.store32(addr, xr(w, lane, in.rs2)); break;
-      case Op::kFsw: memory.store32(addr, fr(w, lane, in.rs2)); break;
-      case Op::kLrW: xr(w, lane, in.rd) = memory.load32(addr); break;
-      case Op::kScW:
-        // Single-context simulation: SC always succeeds.
-        memory.store32(addr, xr(w, lane, in.rs2));
-        xr(w, lane, in.rd) = 0;
-        break;
-      default: {  // AMOs
-        const uint32_t old = memory.load32(addr);
-        const uint32_t src = xr(w, lane, in.rs2);
-        uint32_t next = old;
-        switch (in.op) {
-          case Op::kAmoswapW: next = src; break;
-          case Op::kAmoaddW: next = old + src; break;
-          case Op::kAmoandW: next = old & src; break;
-          case Op::kAmoorW: next = old | src; break;
-          case Op::kAmoxorW: next = old ^ src; break;
-          case Op::kAmominW:
-            next = static_cast<uint32_t>(std::min(as_i32(old), as_i32(src)));
-            break;
-          case Op::kAmomaxW:
-            next = static_cast<uint32_t>(std::max(as_i32(old), as_i32(src)));
-            break;
-          default: break;
-        }
-        memory.store32(addr, next);
-        if (in.rd != 0) xr(w, lane, in.rd) = old;
-        break;
-      }
+    const uint32_t src = op == Op::kFsw ? fr(w, lane, in.rs2) : xr(w, lane, in.rs2);
+    const uint32_t value = sem::memory_lane<op>(local ? local_mem_ : gmem_, addr, src);
+    if constexpr (is_float) {
+      fr(w, lane, in.rd) = value;
+    } else if constexpr (!is_store) {
+      if (in.rd != 0) xr(w, lane, in.rd) = value;  // x0 is hardwired to zero
     }
 
     if (!local) {
@@ -1147,7 +564,6 @@ void Core::execute_memory(uint32_t w, const Instr& in, uint32_t pc, uint64_t cyc
       }
     }
   }
-  (void)any_local;
 
   if (all_local || lines.empty()) {
     // Shared-memory path: fixed low latency, no cache traffic.
@@ -1193,6 +609,172 @@ void Core::execute_memory(uint32_t w, const Instr& in, uint32_t pc, uint64_t cyc
   assert(false && "LSU slot must be available at issue");
 }
 
+void Core::execute(uint32_t w, const FetchSlot& slot, uint64_t cycle) {
+  namespace sem = arch::sem;
+  const Instr& in = slot.decoded.instr;
+  const auto& info = arch::op_info(in.op);
+  Warp& warp = warps_[w];
+  const uint64_t mask = warp.tmask;
+  const uint32_t pc = slot.pc;
+  const uint32_t take_pc = pc + static_cast<uint32_t>(in.imm);
+  // Warp-uniform operands (branches, jumps, SIMT) come from the first active lane.
+  const uint32_t lead = sem::first_lane(mask);
+
+  if (config_.trace) {
+    config_.trace(TraceEvent{core_id_, w, pc, mask, in, cycle});
+  }
+
+  // Non-pipelined units block further issue to the same unit.
+  if (info.fu == arch::FuClass::kSfu ||
+      (info.fu == arch::FuClass::kMulDiv && info.latency > 4)) {
+    fu_ready_[static_cast<size_t>(info.fu)] = cycle + info.latency;
+    fu_ready_max_ = std::max(fu_ready_max_, cycle + info.latency);
+  }
+
+  auto schedule_rd = [&](bool is_float) {
+    if (!is_float && in.rd == 0) return;
+    if (is_float) {
+      warp.busy_f |= (1u << in.rd);
+    } else {
+      warp.busy_x |= (1u << in.rd);
+    }
+    completions_.push_back(Completion{cycle + info.latency, w, in.rd, is_float});
+    completions_min_ready_ = std::min(completions_min_ready_, cycle + info.latency);
+  };
+
+  auto for_lanes = [&](auto&& fn) {
+    for (uint32_t lane = 0; lane < config_.threads; ++lane) {
+      if (mask & (1ull << lane)) fn(lane);
+    }
+  };
+  // Active lanes whose rs1 is nonzero (SPLIT/PRED predicates).
+  auto rs1_nonzero = [&] {
+    uint64_t bits = 0;
+    for_lanes([&](uint32_t l) {
+      if (xr(w, l, in.rs1) != 0) bits |= (1ull << l);
+    });
+    return bits;
+  };
+  auto apply = [&](const sem::SimtStep& step) {
+    warp.tmask = step.tmask;
+    if (step.next == sem::Next::kTake) redirect(warp, take_pc);
+    if (step.next == sem::Next::kPc) redirect(warp, step.pc);
+  };
+
+  switch (in.op) {
+#define FGPU_CORE_LANE_CASE(name, ...)     \
+  case Op::k##name:                        \
+    execute_lanes<Op::k##name>(w, in, pc); \
+    break;
+    FGPU_ARCH_LANE_OPS(FGPU_CORE_LANE_CASE)
+#undef FGPU_CORE_LANE_CASE
+#define FGPU_CORE_MEMORY_CASE(name)                \
+  case Op::k##name:                                \
+    execute_memory<Op::k##name>(w, in, pc, cycle); \
+    break;
+    FGPU_ARCH_MEMORY_OPS(FGPU_CORE_MEMORY_CASE)
+#undef FGPU_CORE_MEMORY_CASE
+    case Op::kJal:
+    case Op::kJalr: {
+      const uint32_t target =
+          in.op == Op::kJal ? take_pc : sem::jalr_target(xr(w, lead, in.rs1), in.imm);
+      if (in.rd != 0) for_lanes([&](uint32_t l) { xr(w, l, in.rd) = sem::link(pc); });
+      ++perf_.branches;
+      redirect(warp, target);
+      break;
+    }
+    case Op::kBeq:
+    case Op::kBne:
+    case Op::kBlt:
+    case Op::kBge:
+    case Op::kBltu:
+    case Op::kBgeu:
+      ++perf_.branches;
+      if (sem::branch_taken(in.op, xr(w, lead, in.rs1), xr(w, lead, in.rs2))) {
+        redirect(warp, take_pc);
+      }
+      break;
+    case Op::kCsrrw:
+    case Op::kCsrrs:
+    case Op::kCsrrc:
+      if (in.rd != 0) {
+        arch::CsrView view{.warp = w, .core = core_id_, .tmask = mask,
+                           .threads = config_.threads, .warps = config_.warps,
+                           .cores = config_.cores, .cycle = cycle, .instret = instret_};
+        for_lanes([&](uint32_t l) {
+          view.lane = l;
+          xr(w, l, in.rd) = sem::read_csr(static_cast<uint32_t>(in.imm), view);
+        });
+      }
+      break;
+    case Op::kEcall:
+      for_lanes([&](uint32_t l) {
+        if (ecall_handler_) {
+          ecall_handler_(EcallRequest{core_id_, w, l, xr(w, l, 17), xr(w, l, 10)}, gmem_);
+        }
+      });
+      break;
+    case Op::kFence:
+      break;  // memory ordering is already program order in this model
+    case Op::kTmc:
+      warp.tmask = sem::tmc_mask(xr(w, lead, in.rs1), config_.threads);
+      if (warp.tmask == 0) {
+        warp.active = false;
+        FGPU_TRACE_INSTANT("warp_exit", "warp", core_id_, cycle, {{"warp", w}});
+      }
+      break;
+    case Op::kWspawn: {
+      const uint32_t count = std::min(xr(w, lead, in.rs1), config_.warps);
+      const uint32_t target = xr(w, lead, in.rs2);
+      uint32_t spawned_now = 0;
+      for (uint32_t i = 1; i < count; ++i) {
+        Warp& spawned = warps_[i];
+        if (spawned.active) continue;
+        spawned.reset();  // keeps the ibuffer/ipdom storage allocations
+        spawned.active = true;
+        spawned.pc = target;
+        spawned.tmask = 1;
+        sync_warp(i);
+        ++perf_.warps_spawned;
+        ++spawned_now;
+      }
+      FGPU_TRACE_INSTANT("wspawn", "warp", core_id_, cycle,
+                         {{"by_warp", w}, {"spawned", spawned_now}, {"entry_pc", target}});
+      break;
+    }
+    case Op::kSplit:
+    case Op::kPred: {
+      const uint64_t bits = rs1_nonzero();
+      const sem::SimtStep step = in.op == Op::kSplit
+                                     ? sem::split(warp.ipdom, mask, bits, take_pc)
+                                     : sem::pred(mask, bits);
+      ++perf_.branches;
+      if (step.tmask != mask) ++perf_.divergent_branches;
+      apply(step);
+      break;
+    }
+    case Op::kJoin: {
+      ++perf_.joins;
+      const sem::SimtStep step = sem::join(warp.ipdom, mask);
+      if (step.next == sem::Next::kFault) {
+        FGPU_LOG(kError, "core %u warp %u: JOIN with empty IPDOM stack at %08x", core_id_, w, pc);
+        warp.active = false;
+        break;
+      }
+      apply(step);
+      break;
+    }
+    case Op::kBar:
+      barrier_arrive(w, sem::barrier_id(xr(w, lead, in.rs1)), xr(w, lead, in.rs2), cycle);
+      break;
+    default:
+      FGPU_LOG(kError, "core %u warp %u: invalid instruction at %08x", core_id_, w, pc);
+      warp.active = false;
+      break;
+  }
+  if (slot.decoded.rd_at_issue) schedule_rd(slot.decoded.rd_float);
+}
+
 void Core::do_lsu(uint64_t cycle) {
   (void)cycle;
   uint32_t sent = 0;
@@ -1222,14 +804,7 @@ void Core::do_fetch(uint64_t cycle) {
   const uint32_t w = first_rr(fetch_mask_, fetch_rr_);
   Warp& warp = warps_[w];
   if (config_.perfect_icache) {
-    const DecodedInstr* decoded = decode_at(warp.pc);
-    if (decoded == nullptr) {
-      FGPU_LOG(kError, "core %u warp %u: invalid instruction at %08x", core_id_, w, warp.pc);
-      warp.active = false;
-      sync_warp(w);
-      return;
-    }
-    warp.ibuffer.push(FetchSlot{*decoded, warp.pc});
+    warp.ibuffer.push(FetchSlot{*decode_at(warp.pc), warp.pc});
   } else {
     if (!l1i_.can_accept()) return;
     // The fetching warp index rides in the id's low byte; the monotonic

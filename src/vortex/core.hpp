@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "arch/isa.hpp"
+#include "arch/semantics.hpp"
 #include "mem/cache.hpp"
 #include "mem/memory.hpp"
 #include "vortex/config.hpp"
@@ -135,13 +136,6 @@ class Core {
   uint64_t decode_cache_fills() const { return decode_fills_; }
 
  private:
-  struct IpdomEntry {
-    enum Kind : uint8_t { kUniform, kElse, kRestore };
-    Kind kind;
-    uint64_t mask;
-    uint32_t pc;
-  };
-
   // A decoded instruction plus everything the issue stage needs, computed
   // once at decode time instead of per issue attempt: scoreboard masks
   // (sources + destination, x0 excluded) and the FU routing/latency.
@@ -152,6 +146,8 @@ class Core {
     uint8_t fu = 0;  // arch::FuClass
     bool is_lsu = false;
     bool is_store = false;
+    bool rd_at_issue = false;  // rd written at issue, busy for the FU latency
+    bool rd_float = false;     // arch::writes_freg
   };
 
   struct FetchSlot {
@@ -192,7 +188,7 @@ class Core {
     bool active = false;
     uint32_t pc = 0;
     uint64_t tmask = 0;
-    std::vector<IpdomEntry> ipdom;
+    std::vector<arch::IpdomEntry> ipdom;
     IBuffer ibuffer;
     bool fetch_pending = false;
     uint64_t fetch_id = 0;         // full request id of the in-flight fetch
@@ -265,20 +261,23 @@ class Core {
   void do_lsu(uint64_t cycle);
   void do_fetch(uint64_t cycle);
 
-  // Decode via the per-core PC -> DecodedInstr cache; nullptr on an invalid
-  // encoding. The pointer stays valid until the next decode_at call (cache
-  // growth may reallocate).
+  // Decode via the per-core PC -> DecodedInstr cache; an Op::kInvalid entry
+  // for an undecodable word. The pointer stays valid until the next
+  // decode_at call (cache growth may reallocate).
   const DecodedInstr* decode_at(uint32_t pc);
   static void fill_issue_metadata(DecodedInstr* d);
 
   // Returns false if the instruction cannot issue this cycle (structural or
   // data hazard); sets *stall_reason for attribution.
   bool can_issue(const Warp& warp, const DecodedInstr& instr, uint64_t cycle, int* stall_reason);
+  // Runs the instruction through the shared ISA semantics (arch/semantics.hpp)
+  // and does this tier's bookkeeping: scoreboard, FU readiness, counters.
   void execute(uint32_t warp_id, const FetchSlot& slot, uint64_t cycle);
+  template <arch::Op op>
+  void execute_lanes(uint32_t warp_id, const arch::Instr& instr, uint32_t pc);
+  template <arch::Op op>
   void execute_memory(uint32_t warp_id, const arch::Instr& instr, uint32_t pc, uint64_t cycle);
   void redirect(Warp& warp, uint32_t new_pc);
-  uint32_t first_active_lane(uint64_t mask) const;
-  uint32_t read_csr(uint32_t csr, uint32_t warp_id, uint32_t lane, uint64_t cycle) const;
   void barrier_arrive(uint32_t warp_id, uint32_t id, uint32_t count, uint64_t cycle);
 
   bool is_local_addr(uint32_t addr) const {
@@ -319,9 +318,7 @@ class Core {
   uint64_t fu_ready_[8] = {0};
   uint64_t fu_ready_max_ = 0;  // latest fu_ready_ entry (next_wake_cycle bound)
 
-  // Barrier bookkeeping: id -> warps arrived.
-  std::vector<uint32_t> barrier_arrived_;
-  std::vector<uint32_t> barrier_expected_;
+  arch::Barriers barriers_;
 
   uint32_t issue_rr_ = 0;  // round-robin cursors
   uint32_t fetch_rr_ = 0;

@@ -5,8 +5,9 @@
 //   TurboCore::translate(pc)  decode a straight-line run of guest words
 //                             into per-instruction handler pointers, ending
 //                             at the first control-flow/SIMT instruction
-//   TurboCore::run_warp(w)    dispatch loop: execute block bodies through
-//                             the handler pointers, resolve terminators,
+//   TurboCore::run_warp(w)    dispatch loop: execute block bodies
+//                             (run_body: hot ops inline, the rest through
+//                             their handler pointers), resolve terminators,
 //                             and hop to the successor block through the
 //                             chain pointers (cache lookup only on a cold
 //                             edge or a dynamic target)
@@ -17,17 +18,16 @@
 // the cycle-exact interleaving, which is safe for output digests because
 // the generated code's cross-warp side effects are commutative (AMOs; no
 // LR/SC is emitted) — the property the -O0/-O2 digest differential already
-// relies on. All per-instruction semantics below copy vortex/core.cpp's
-// expression forms verbatim so register/memory results are bit-identical.
+// relies on. Every instruction's architectural effect comes from
+// arch/semantics.hpp, the definition the cycle-exact core runs too; this file
+// adds only the translation and dispatch machinery.
 #include "vortex/jit/turbo.hpp"
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <cstring>
-#include <limits>
 
-#include "common/bits.hpp"
+#include "arch/semantics.hpp"
 #include "common/log.hpp"
 
 namespace fgpu::vortex::jit {
@@ -39,23 +39,6 @@ using arch::Op;
 // Straight-line translation cap: a block longer than this is split, ending
 // without a terminator and falling through to its successor.
 constexpr size_t kMaxBlockInstrs = 256;
-
-int32_t as_i32(uint32_t v) { return static_cast<int32_t>(v); }
-
-// Copied from vortex/core.cpp so conversion saturation is bit-identical.
-uint32_t fcvt_w_s(float f, bool is_unsigned) {
-  if (std::isnan(f)) {
-    return is_unsigned ? 0xFFFFFFFFu : 0x7FFFFFFFu;
-  }
-  if (is_unsigned) {
-    if (f <= -1.0f) return 0;
-    if (f >= 4294967296.0f) return 0xFFFFFFFFu;
-    return static_cast<uint32_t>(f);
-  }
-  if (f <= -2147483648.0f) return 0x80000000u;
-  if (f >= 2147483648.0f) return 0x7FFFFFFFu;
-  return static_cast<uint32_t>(static_cast<int32_t>(f));
-}
 
 // Terminators end a translated block: everything that can move a warp's PC
 // or scheduling state. ECALL/FENCE/memory ops stay in the block body.
@@ -141,10 +124,8 @@ class TurboCore {
         ecall_handler_(ecall_handler),
         stats_(stats),
         warps_(config.warps),
-        xregs_(config.warps * config.threads * 32, 0),
-        fregs_(config.warps * config.threads * 32, 0),
-        barrier_arrived_(32, 0),
-        barrier_expected_(32, 0) {}
+        xregs_(config.warps * config.threads * kXRows, 0),
+        fregs_(config.warps * config.threads * 32, 0) {}
 
   void invalidate() {
     bool any = false;
@@ -180,8 +161,7 @@ class TurboCore {
     for (auto& warp : warps_) warp = TWarp{};
     std::fill(xregs_.begin(), xregs_.end(), 0u);
     std::fill(fregs_.begin(), fregs_.end(), 0u);
-    std::fill(barrier_arrived_.begin(), barrier_arrived_.end(), 0u);
-    std::fill(barrier_expected_.begin(), barrier_expected_.end(), 0u);
+    barriers_ = arch::Barriers{};
     local_mem_.clear();
     tlb_.fill(TlbEntry{});  // local pages were just dropped
     instret_ = 0;
@@ -216,12 +196,17 @@ class TurboCore {
 
   // --- register file --------------------------------------------------------
   // Register-major ("structure of arrays") layout, unlike core.cpp's
-  // lane-major one: register r of lane l lives at [(warp*32 + r)*threads + l],
+  // lane-major one: register r of lane l lives at [(warp*rows + r)*threads + l],
   // so one warp-instruction's operand rows are contiguous runs of `threads`
   // words — the layout the lane loops need to autovectorize. Purely an
   // internal representation choice; values are bit-identical.
+  //
+  // The integer file has one row past x31: translate() points every write
+  // to x0 at it, so x0 stays zero without a per-lane check.
+  static constexpr uint32_t kXRows = 33;
+  static constexpr uint8_t kXDiscard = 32;
   uint32_t& xr(uint32_t warp, uint32_t lane, uint32_t index) {
-    return xregs_[(warp * 32 + index) * config_.threads + lane];
+    return xregs_[(warp * kXRows + index) * config_.threads + lane];
   }
   uint32_t& fr(uint32_t warp, uint32_t lane, uint32_t index) {
     return fregs_[(warp * 32 + index) * config_.threads + lane];
@@ -231,7 +216,7 @@ class TurboCore {
   // lane loop matters because register stores are uint32_t writes, which
   // TBAA says may alias config_ fields and Instr bytes — without the locals
   // the compiler must re-derive addresses from memory every lane.
-  uint32_t* xwarp(uint32_t w) { return xregs_.data() + w * 32 * config_.threads; }
+  uint32_t* xwarp(uint32_t w) { return xregs_.data() + w * kXRows * config_.threads; }
   uint32_t* fwarp(uint32_t w) { return fregs_.data() + w * 32 * config_.threads; }
   uint32_t nthreads() const { return config_.threads; }
 
@@ -253,30 +238,17 @@ class TurboCore {
     }
   }
 
-  uint32_t first_active_lane(uint64_t mask) const {
-    return mask != 0 ? static_cast<uint32_t>(__builtin_ctzll(mask)) : 0;
-  }
-
   // True when every lane of an 8-thread warp is active — the precondition
   // of both the lanes() constant-8 loop and the coalesced memory fast path
   // in the word load/store handlers.
   bool full8(uint32_t w) const { return warps_[w].tmask == 0xFFull && config_.threads == 8; }
 
-  uint32_t read_csr(uint32_t csr, uint32_t warp_id, uint32_t lane) const {
-    switch (csr) {
-      case arch::kCsrThreadId: return lane;
-      case arch::kCsrWarpId: return warp_id;
-      case arch::kCsrCoreId: return core_id_;
-      case arch::kCsrTmask: return static_cast<uint32_t>(warps_[warp_id].tmask);
-      case arch::kCsrNumThreads: return config_.threads;
-      case arch::kCsrNumWarps: return config_.warps;
-      case arch::kCsrNumCores: return config_.cores;
-      // Functional tier: no cycle model. Instret counts this core's retired
-      // instructions, as in the cycle simulator.
-      case arch::kCsrCycle: return 0;
-      case arch::kCsrInstret: return static_cast<uint32_t>(instret_);
-      default: return 0;
-    }
+  // Functional tier: no cycle model, so the cycle CSR reads 0. Instret
+  // counts this core's retired instructions, as in the cycle simulator.
+  arch::CsrView csr_view(uint32_t w) const {
+    return arch::CsrView{.warp = w, .core = core_id_, .tmask = warps_[w].tmask,
+                         .threads = config_.threads, .warps = config_.warps,
+                         .cores = config_.cores, .cycle = 0, .instret = instret_};
   }
 
   bool is_local_addr(uint32_t addr) const {
@@ -348,18 +320,11 @@ class TurboCore {
   uint64_t tmask(uint32_t w) const { return warps_[w].tmask; }
 
  private:
-  struct IpdomEntry {
-    enum Kind : uint8_t { kUniform, kElse, kRestore };
-    Kind kind;
-    uint64_t mask;
-    uint32_t pc;
-  };
-
   struct TWarp {
     bool active = false;
     uint32_t pc = 0;
     uint64_t tmask = 0;
-    std::vector<IpdomEntry> ipdom;
+    std::vector<arch::IpdomEntry> ipdom;
     bool at_barrier = false;
     uint32_t barrier_id = 0;
   };
@@ -391,20 +356,48 @@ class TurboCore {
     return blk->next_take = lookup(blk->take_pc);
   }
 
+  // Applies a terminator's outcome to the warp and returns the block it
+  // continues at: the fall-through or static target through the chain
+  // slots, a dynamic target (JALR, an ELSE side off the IPDOM stack)
+  // through the cache.
+  TranslatedBlock* step(TWarp& warp, TranslatedBlock* blk, const arch::sem::SimtStep& next) {
+    warp.tmask = next.tmask;
+    switch (next.next) {
+      case arch::sem::Next::kFall:
+        warp.pc = blk->fall_pc;
+        return next_fall(blk);
+      case arch::sem::Next::kTake:
+        warp.pc = blk->take_pc;
+        return next_take(blk);
+      case arch::sem::Next::kPc:
+      case arch::sem::Next::kFault:  // a faulting JOIN stops the warp first
+        break;
+    }
+    warp.pc = next.pc;
+    return lookup(next.pc);  // dynamic target: no chain slot
+  }
+
   void barrier_arrive(uint32_t warp_id, uint32_t id, uint32_t count) {
     TWarp& warp = warps_[warp_id];
     warp.at_barrier = true;
     warp.barrier_id = id;
-    barrier_expected_[id] = count;
-    ++barrier_arrived_[id];
     ++stats_.barriers;
-    if (barrier_arrived_[id] >= barrier_expected_[id]) {
-      for (auto& other : warps_) {
-        if (other.at_barrier && other.barrier_id == id) other.at_barrier = false;
-      }
-      barrier_arrived_[id] = 0;
+    if (!arch::sem::barrier_arrive(barriers_, id, count)) return;
+    for (auto& other : warps_) {
+      if (other.at_barrier && other.barrier_id == id) other.at_barrier = false;
     }
   }
+
+  // Active lanes of warp `w` whose register x[reg] is nonzero.
+  uint64_t lanes_nonzero(uint32_t w, uint8_t reg) {
+    uint64_t bits = 0;
+    lanes(w, [&](uint32_t l) {
+      if (xr(w, l, reg) != 0) bits |= (1ull << l);
+    });
+    return bits;
+  }
+
+  void run_body(uint32_t w, const std::vector<TI>& body);
 
   // Dispatch loop: returns false when error_ is set (budget, deadlock
   // cannot happen here). Returning true means the warp blocked or retired.
@@ -420,8 +413,7 @@ class TurboCore {
   std::vector<TWarp> warps_;
   std::vector<uint32_t> xregs_;  // [warp][reg][lane], lanes of a register adjacent
   std::vector<uint32_t> fregs_;
-  std::vector<uint32_t> barrier_arrived_;
-  std::vector<uint32_t> barrier_expected_;
+  arch::Barriers barriers_;
   uint64_t instret_ = 0;
 
   static constexpr uint32_t kTlbSize = 64;  // power of two
@@ -453,282 +445,11 @@ namespace {
 
 using TI = TurboCore::TI;
 using Handler = void (*)(TurboCore&, uint32_t, const TI&);
+using arch::sem::Src;
 
-// Hot-path handlers as named functions: the handler table points at them
-// like any other op, but translate() also tags their instructions with a
-// FastOp code so run_warp can dispatch them through an inline switch.
-// always_inline because the whole point is folding the op body into the
-// dispatch loop; the out-of-line copies still back the handler table.
+// Hot-path handlers are always_inline: run_warp folds the hot ones into its
+// dispatch switch, and the out-of-line copies back the handler table.
 #define FGPU_TURBO_HOT inline __attribute__((always_inline))
-FGPU_TURBO_HOT void exec_Lui(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = static_cast<uint32_t>(in.imm) << 12;
-      });
-    }
-
-FGPU_TURBO_HOT void exec_Auipc(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; const uint32_t ipc = i.pc; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = ipc + (static_cast<uint32_t>(in.imm) << 12);
-      });
-    }
-
-FGPU_TURBO_HOT void exec_Addi(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = xp_rs1[l] + static_cast<uint32_t>(in.imm);
-      });
-    }
-
-FGPU_TURBO_HOT void exec_Andi(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = xp_rs1[l] & static_cast<uint32_t>(in.imm);
-      });
-    }
-
-FGPU_TURBO_HOT void exec_Ori(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = xp_rs1[l] | static_cast<uint32_t>(in.imm);
-      });
-    }
-
-FGPU_TURBO_HOT void exec_Xori(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = xp_rs1[l] ^ static_cast<uint32_t>(in.imm);
-      });
-    }
-
-FGPU_TURBO_HOT void exec_Slli(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = xp_rs1[l] << in.imm;
-      });
-    }
-
-FGPU_TURBO_HOT void exec_Srli(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = xp_rs1[l] >> in.imm;
-      });
-    }
-
-FGPU_TURBO_HOT void exec_Srai(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] =
-            static_cast<uint32_t>(as_i32(xp_rs1[l]) >> in.imm);
-      });
-    }
-
-FGPU_TURBO_HOT void exec_Slti(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = as_i32(xp_rs1[l]) < in.imm ? 1 : 0;
-      });
-    }
-
-FGPU_TURBO_HOT void exec_Sltiu(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] =
-            xp_rs1[l] < static_cast<uint32_t>(in.imm) ? 1 : 0;
-      });
-    }
-
-FGPU_TURBO_HOT void exec_Add(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = xp_rs1[l] + xp_rs2[l];
-      });
-    }
-
-FGPU_TURBO_HOT void exec_Sub(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = xp_rs1[l] - xp_rs2[l];
-      });
-    }
-
-FGPU_TURBO_HOT void exec_And(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = xp_rs1[l] & xp_rs2[l];
-      });
-    }
-
-FGPU_TURBO_HOT void exec_Or(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = xp_rs1[l] | xp_rs2[l];
-      });
-    }
-
-FGPU_TURBO_HOT void exec_Xor(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = xp_rs1[l] ^ xp_rs2[l];
-      });
-    }
-
-FGPU_TURBO_HOT void exec_Sll(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = xp_rs1[l] << (xp_rs2[l] & 31);
-      });
-    }
-
-FGPU_TURBO_HOT void exec_Srl(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = xp_rs1[l] >> (xp_rs2[l] & 31);
-      });
-    }
-
-FGPU_TURBO_HOT void exec_Sra(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = static_cast<uint32_t>(as_i32(xp_rs1[l]) >>
-                                                       (xp_rs2[l] & 31));
-      });
-    }
-
-FGPU_TURBO_HOT void exec_Slt(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] =
-            as_i32(xp_rs1[l]) < as_i32(xp_rs2[l]) ? 1 : 0;
-      });
-    }
-
-FGPU_TURBO_HOT void exec_Sltu(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = xp_rs1[l] < xp_rs2[l] ? 1 : 0;
-      });
-    }
-
-FGPU_TURBO_HOT void exec_Mul(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = xp_rs1[l] * xp_rs2[l];
-      });
-    }
-
-FGPU_TURBO_HOT void exec_FaddS(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const fp_rd = fw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T; uint32_t* const fp_rs2 = fw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        fp_rd[l] =
-            f2u(u2f(fp_rs1[l]) + u2f(fp_rs2[l]));
-      });
-    }
-
-FGPU_TURBO_HOT void exec_FsubS(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const fp_rd = fw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T; uint32_t* const fp_rs2 = fw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        fp_rd[l] =
-            f2u(u2f(fp_rs1[l]) - u2f(fp_rs2[l]));
-      });
-    }
-
-FGPU_TURBO_HOT void exec_FmulS(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const fp_rd = fw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T; uint32_t* const fp_rs2 = fw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        fp_rd[l] =
-            f2u(u2f(fp_rs1[l]) * u2f(fp_rs2[l]));
-      });
-    }
-
-FGPU_TURBO_HOT void exec_FmaddS(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const fp_rd = fw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T; uint32_t* const fp_rs2 = fw + in.rs2 * T; uint32_t* const fp_rs3 = fw + in.rs3 * T;
-      c.lanes(w, [&](uint32_t l) {
-        fp_rd[l] = f2u(u2f(fp_rs1[l]) * u2f(fp_rs2[l]) +
-                                     u2f(fp_rs3[l]));
-      });
-    }
-
-FGPU_TURBO_HOT void exec_FcvtSW(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w); uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const fp_rd = fw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T;
-      c.lanes(w, [&](uint32_t l) {
-        fp_rd[l] = f2u(static_cast<float>(as_i32(xp_rs1[l])));
-      });
-    }
-
-FGPU_TURBO_HOT void exec_FcvtSWu(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w); uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const fp_rd = fw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T;
-      c.lanes(w, [&](uint32_t l) {
-        fp_rd[l] = f2u(static_cast<float>(xp_rs1[l]));
-      });
-    }
-
-FGPU_TURBO_HOT void exec_FcvtWS(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w); uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = fcvt_w_s(u2f(fp_rs1[l]), false);
-      });
-    }
-
-FGPU_TURBO_HOT void exec_FmvWX(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w); uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const fp_rd = fw + in.rd * T; uint32_t* const xp_rs1 = xw + in.rs1 * T;
-      c.lanes(w, [&](uint32_t l) { fp_rd[l] = xp_rs1[l]; });
-    }
-
-FGPU_TURBO_HOT void exec_FmvXW(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w); uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T;
-      c.lanes(w, [&](uint32_t l) { xp_rd[l] = fp_rs1[l]; });
-    }
-
-FGPU_TURBO_HOT void exec_FsgnjS(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const fp_rd = fw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T; uint32_t* const fp_rs2 = fw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        fp_rd[l] =
-            (fp_rs1[l] & 0x7FFFFFFFu) | (fp_rs2[l] & 0x80000000u);
-      });
-    }
-
-FGPU_TURBO_HOT void exec_FltS(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w); uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T; uint32_t* const fp_rs2 = fw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] =
-            u2f(fp_rs1[l]) < u2f(fp_rs2[l]) ? 1 : 0;
-      });
-    }
 
 // Coalesced warp word access: GPU kernels overwhelmingly issue unit-stride
 // (or at least same-page) warp loads and stores, so when all 8 lanes of a
@@ -736,9 +457,8 @@ FGPU_TURBO_HOT void exec_FltS(TurboCore& c, uint32_t w, const TI& i) {
 // translation serves the whole warp instead of eight. The address and
 // same-page checks are branch-free lane loops the compiler vectorizes; the
 // per-lane load32/store32 path remains the fallback (partial masks,
-// cross-page scatters, straddles) and the semantic reference. Lane order is
-// ascending in both store paths, so same-address conflicts resolve
-// identically.
+// cross-page scatters, straddles). Lane order is ascending in both store
+// paths, so same-address conflicts resolve identically.
 FGPU_TURBO_HOT void warp_load32(TurboCore& c, uint32_t w, const uint32_t* rs1, uint32_t imm,
                                 uint32_t* rd) {
   if (c.full8(w)) {
@@ -787,31 +507,69 @@ FGPU_TURBO_HOT void warp_store32(TurboCore& c, uint32_t w, const uint32_t* rs1, 
   c.lanes(w, [&](uint32_t l) { c.store32(rs1[l] + imm, rs2[l]); });
 }
 
-FGPU_TURBO_HOT void exec_Lw(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rd = xw + in.rd * T;
-      warp_load32(c, w, xp_rs1, static_cast<uint32_t>(in.imm), xp_rd);
-    }
+// One lane-op operand: a register row's lane, the immediate or the PC.
+template <Src src>
+FGPU_TURBO_HOT uint32_t operand(const uint32_t* row, uint32_t lane, uint32_t imm, uint32_t pc) {
+  if constexpr (src == Src::kX || src == Src::kF) return row[lane];
+  if constexpr (src == Src::kImm) return imm;
+  if constexpr (src == Src::kPc) return pc;
+  return 0;
+}
 
-FGPU_TURBO_HOT void exec_Sw(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T;
-      warp_store32(c, w, xp_rs1, static_cast<uint32_t>(in.imm), xp_rs2);
-    }
+// The handler of one body op, instantiated per op: lane and memory ops run
+// the shared definitions (arch/semantics.hpp) over the warp's active lanes.
+// Operand rows are hoisted out of the lane loop, with a local Instr copy,
+// because register stores are uint32_t writes that TBAA says may alias
+// config_ fields and Instr bytes.
+template <Op op>
+FGPU_TURBO_HOT void exec(TurboCore& c, uint32_t w, const TI& i) {
+  namespace sem = arch::sem;
+  const Instr in = i.instr;
+  const uint32_t T = c.nthreads();
+  uint32_t* const xw = c.xwarp(w);
+  uint32_t* const fw = c.fwarp(w);
+  const auto row = [&](Src file, uint8_t reg) { return (file == Src::kF ? fw : xw) + reg * T; };
+  const uint32_t imm = static_cast<uint32_t>(in.imm);
+  if constexpr (sem::is_lane_op(op)) {
+    using L = sem::Lane<op>;
+    uint32_t* const rd = row(L::kRd, in.rd);
+    const uint32_t* const ra = row(L::kA, in.rs1);
+    const uint32_t* const rb = row(L::kB, in.rs2);
+    const uint32_t* const rc = row(L::kC, in.rs3);
+    const uint32_t pc = i.pc;
+    c.lanes(w, [&](uint32_t l) {
+      rd[l] = L::eval(operand<L::kA>(ra, l, imm, pc), operand<L::kB>(rb, l, imm, pc),
+                      operand<L::kC>(rc, l, imm, pc));
+    });
+  } else if constexpr (op == Op::kLw || op == Op::kFlw) {
+    warp_load32(c, w, row(Src::kX, in.rs1), imm, row(op == Op::kFlw ? Src::kF : Src::kX, in.rd));
+  } else if constexpr (op == Op::kSw || op == Op::kFsw) {
+    warp_store32(c, w, row(Src::kX, in.rs1), imm,
+                 row(op == Op::kFsw ? Src::kF : Src::kX, in.rs2));
+  } else if constexpr (sem::is_store(op) || sem::is_atomic(op) ||
+                       (op >= Op::kLb && op <= Op::kLhu)) {
+    const uint32_t* const base = row(Src::kX, in.rs1);
+    const uint32_t* const src = row(Src::kX, in.rs2);
+    uint32_t* const rd = row(Src::kX, in.rd);
+    c.lanes(w, [&](uint32_t l) {
+      const uint32_t value = sem::memory_lane<op>(c, sem::mem_addr<op>(base[l], in.imm), src[l]);
+      if constexpr (!sem::is_store(op)) rd[l] = value;
+    });
+  } else if constexpr (op == Op::kCsrrw || op == Op::kCsrrs || op == Op::kCsrrc) {
+    uint32_t* const rd = row(Src::kX, in.rd);
+    arch::CsrView view = c.csr_view(w);
+    c.lanes(w, [&](uint32_t l) {
+      view.lane = l;
+      rd[l] = sem::read_csr(imm, view);
+    });
+  } else if constexpr (op == Op::kEcall) {
+    c.do_ecall(w);
+  } else {
+    static_assert(op == Op::kFence, "every body op has a handler");
+  }
+}
 
-FGPU_TURBO_HOT void exec_Flw(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w); uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const fp_rd = fw + in.rd * T;
-      warp_load32(c, w, xp_rs1, static_cast<uint32_t>(in.imm), fp_rd);
-    }
-
-FGPU_TURBO_HOT void exec_Fsw(TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w); uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const fp_rs2 = fw + in.rs2 * T;
-      warp_store32(c, w, xp_rs1, static_cast<uint32_t>(in.imm), fp_rs2);
-    }
-
-// Fused-superinstruction handlers (see the FastOp enum below): guest code
+// Fused-superinstruction handlers (see the FastOp codes below): guest code
 // materializes constants as `lui r, hi` / `lui; addi r, r, lo` /
 // `...; fmv.w.x f, r` chains — up to three dispatches to broadcast one
 // 32-bit literal. translate()'s peephole collapses each chain into a single
@@ -842,47 +600,22 @@ FGPU_TURBO_HOT void exec_ConstXF(TurboCore& c, uint32_t w, const TI& i) {
   });
 }
 
+// The ops run_warp dispatches through its inline switch, bodies folded into
+// the dispatch loop, instead of through the handler pointer.
+#define FGPU_TURBO_INLINE_OPS(ROW)                                                     \
+  ROW(Lui) ROW(Auipc) ROW(Addi) ROW(Andi) ROW(Ori) ROW(Xori) ROW(Slli) ROW(Srli)        \
+  ROW(Srai) ROW(Slti) ROW(Sltiu) ROW(Add) ROW(Sub) ROW(And) ROW(Or) ROW(Xor) ROW(Sll)   \
+  ROW(Srl) ROW(Sra) ROW(Slt) ROW(Sltu) ROW(Mul) ROW(FaddS) ROW(FsubS) ROW(FmulS)        \
+  ROW(FmaddS) ROW(FcvtSW) ROW(FcvtSWu) ROW(FcvtWS) ROW(FmvWX) ROW(FmvXW) ROW(FsgnjS)    \
+  ROW(FltS) ROW(Lw) ROW(Sw) ROW(Flw) ROW(Fsw)
+
 // Dispatch codes for the inline fast path; kFastNone falls back to the
 // instruction's handler pointer.
 enum : uint8_t {
   kFastNone = 0,
-  kFastLui,
-  kFastAuipc,
-  kFastAddi,
-  kFastAndi,
-  kFastOri,
-  kFastXori,
-  kFastSlli,
-  kFastSrli,
-  kFastSrai,
-  kFastSlti,
-  kFastSltiu,
-  kFastAdd,
-  kFastSub,
-  kFastAnd,
-  kFastOr,
-  kFastXor,
-  kFastSll,
-  kFastSrl,
-  kFastSra,
-  kFastSlt,
-  kFastSltu,
-  kFastMul,
-  kFastFaddS,
-  kFastFsubS,
-  kFastFmulS,
-  kFastFmaddS,
-  kFastFcvtSW,
-  kFastFcvtSWu,
-  kFastFcvtWS,
-  kFastFmvWX,
-  kFastFmvXW,
-  kFastFsgnjS,
-  kFastFltS,
-  kFastLw,
-  kFastSw,
-  kFastFlw,
-  kFastFsw,
+#define FGPU_TURBO_FAST_CODE(name) kFast##name,
+  FGPU_TURBO_INLINE_OPS(FGPU_TURBO_FAST_CODE)
+#undef FGPU_TURBO_FAST_CODE
   // Fused superinstructions, produced only by translate()'s peephole (no
   // single guest op maps to these): constant materialization chains.
   kFastConstX,   // lui[+addi] collapsed: write imm to x[rd]
@@ -891,403 +624,30 @@ enum : uint8_t {
 
 uint8_t fast_op_for(Op op) {
   switch (op) {
-    case Op::kLui: return kFastLui;
-    case Op::kAuipc: return kFastAuipc;
-    case Op::kAddi: return kFastAddi;
-    case Op::kAndi: return kFastAndi;
-    case Op::kOri: return kFastOri;
-    case Op::kXori: return kFastXori;
-    case Op::kSlli: return kFastSlli;
-    case Op::kSrli: return kFastSrli;
-    case Op::kSrai: return kFastSrai;
-    case Op::kSlti: return kFastSlti;
-    case Op::kSltiu: return kFastSltiu;
-    case Op::kAdd: return kFastAdd;
-    case Op::kSub: return kFastSub;
-    case Op::kAnd: return kFastAnd;
-    case Op::kOr: return kFastOr;
-    case Op::kXor: return kFastXor;
-    case Op::kSll: return kFastSll;
-    case Op::kSrl: return kFastSrl;
-    case Op::kSra: return kFastSra;
-    case Op::kSlt: return kFastSlt;
-    case Op::kSltu: return kFastSltu;
-    case Op::kMul: return kFastMul;
-    case Op::kFaddS: return kFastFaddS;
-    case Op::kFsubS: return kFastFsubS;
-    case Op::kFmulS: return kFastFmulS;
-    case Op::kFmaddS: return kFastFmaddS;
-    case Op::kFcvtSW: return kFastFcvtSW;
-    case Op::kFcvtSWu: return kFastFcvtSWu;
-    case Op::kFcvtWS: return kFastFcvtWS;
-    case Op::kFmvWX: return kFastFmvWX;
-    case Op::kFmvXW: return kFastFmvXW;
-    case Op::kFsgnjS: return kFastFsgnjS;
-    case Op::kFltS: return kFastFltS;
-    case Op::kLw: return kFastLw;
-    case Op::kSw: return kFastSw;
-    case Op::kFlw: return kFastFlw;
-    case Op::kFsw: return kFastFsw;
-    default: return kFastNone;
+#define FGPU_TURBO_FAST_OP(name) \
+  case Op::k##name:              \
+    return kFast##name;
+    FGPU_TURBO_INLINE_OPS(FGPU_TURBO_FAST_OP)
+#undef FGPU_TURBO_FAST_OP
+    default:
+      return kFastNone;
   }
 }
 
-// The threaded-code handler table: one captureless lambda per opcode,
-// bound once at translation time. Register-write forms (including the
-// unguarded rd writes and the FMA spellings) copy vortex/core.cpp exactly.
+// The threaded-code handler table, bound once at translation time: one
+// exec<op> instantiation per op a block body can hold.
 const std::array<Handler, arch::kNumOps>& handler_table() {
   static const std::array<Handler, arch::kNumOps> table = [] {
     std::array<Handler, arch::kNumOps> t{};
-    auto set = [&t](Op op, Handler h) { t[static_cast<size_t>(op)] = h; };
-
-    // ---------------- ALU ----------------
-    set(Op::kLui, exec_Lui);
-    set(Op::kAuipc, exec_Auipc);
-    set(Op::kAddi, exec_Addi);
-    set(Op::kSlti, exec_Slti);
-    set(Op::kSltiu, exec_Sltiu);
-    set(Op::kXori, exec_Xori);
-    set(Op::kOri, exec_Ori);
-    set(Op::kAndi, exec_Andi);
-    set(Op::kSlli, exec_Slli);
-    set(Op::kSrli, exec_Srli);
-    set(Op::kSrai, exec_Srai);
-    set(Op::kAdd, exec_Add);
-    set(Op::kSub, exec_Sub);
-    set(Op::kSll, exec_Sll);
-    set(Op::kSlt, exec_Slt);
-    set(Op::kSltu, exec_Sltu);
-    set(Op::kXor, exec_Xor);
-    set(Op::kSrl, exec_Srl);
-    set(Op::kSra, exec_Sra);
-    set(Op::kOr, exec_Or);
-    set(Op::kAnd, exec_And);
-    // ---------------- MUL/DIV ----------------
-    set(Op::kMul, exec_Mul);
-    set(Op::kMulh, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T; uint32_t* const xp_rd = xw + in.rd * T;
-      c.lanes(w, [&](uint32_t l) {
-        const int64_t p = static_cast<int64_t>(as_i32(xp_rs1[l])) *
-                          static_cast<int64_t>(as_i32(xp_rs2[l]));
-        xp_rd[l] = static_cast<uint32_t>(static_cast<uint64_t>(p) >> 32);
-      });
-    });
-    set(Op::kMulhsu, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T; uint32_t* const xp_rd = xw + in.rd * T;
-      c.lanes(w, [&](uint32_t l) {
-        const int64_t p = static_cast<int64_t>(as_i32(xp_rs1[l])) *
-                          static_cast<int64_t>(static_cast<uint64_t>(xp_rs2[l]));
-        xp_rd[l] = static_cast<uint32_t>(static_cast<uint64_t>(p) >> 32);
-      });
-    });
-    set(Op::kMulhu, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T; uint32_t* const xp_rd = xw + in.rd * T;
-      c.lanes(w, [&](uint32_t l) {
-        const uint64_t p = static_cast<uint64_t>(xp_rs1[l]) *
-                           static_cast<uint64_t>(xp_rs2[l]);
-        xp_rd[l] = static_cast<uint32_t>(p >> 32);
-      });
-    });
-    set(Op::kDiv, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T; uint32_t* const xp_rd = xw + in.rd * T;
-      c.lanes(w, [&](uint32_t l) {
-        const int32_t a = as_i32(xp_rs1[l]), b = as_i32(xp_rs2[l]);
-        int32_t r;
-        if (b == 0) {
-          r = -1;
-        } else if (a == std::numeric_limits<int32_t>::min() && b == -1) {
-          r = a;
-        } else {
-          r = a / b;
-        }
-        xp_rd[l] = static_cast<uint32_t>(r);
-      });
-    });
-    set(Op::kDivu, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T; uint32_t* const xp_rd = xw + in.rd * T;
-      c.lanes(w, [&](uint32_t l) {
-        const uint32_t a = xp_rs1[l], b = xp_rs2[l];
-        xp_rd[l] = b == 0 ? 0xFFFFFFFFu : a / b;
-      });
-    });
-    set(Op::kRem, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T; uint32_t* const xp_rd = xw + in.rd * T;
-      c.lanes(w, [&](uint32_t l) {
-        const int32_t a = as_i32(xp_rs1[l]), b = as_i32(xp_rs2[l]);
-        int32_t r;
-        if (b == 0) {
-          r = a;
-        } else if (a == std::numeric_limits<int32_t>::min() && b == -1) {
-          r = 0;
-        } else {
-          r = a % b;
-        }
-        xp_rd[l] = static_cast<uint32_t>(r);
-      });
-    });
-    set(Op::kRemu, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T; uint32_t* const xp_rd = xw + in.rd * T;
-      c.lanes(w, [&](uint32_t l) {
-        const uint32_t a = xp_rs1[l], b = xp_rs2[l];
-        xp_rd[l] = b == 0 ? a : a % b;
-      });
-    });
-    // ---------------- CSR / system ----------------
-    const Handler csr = [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T;
-      c.lanes(w, [&](uint32_t l) {
-        if (in.rd != 0) {
-          xp_rd[l] = c.read_csr(static_cast<uint32_t>(in.imm), w, l);
-        }
-      });
-    };
-    set(Op::kCsrrw, csr);
-    set(Op::kCsrrs, csr);
-    set(Op::kCsrrc, csr);
-    set(Op::kEcall, [](TurboCore& c, uint32_t w, const TI&) { c.do_ecall(w); });
-    set(Op::kFence, [](TurboCore&, uint32_t, const TI&) {});
-    // ---------------- FPU ----------------
-    set(Op::kFaddS, exec_FaddS);
-    set(Op::kFsubS, exec_FsubS);
-    set(Op::kFmulS, exec_FmulS);
-    set(Op::kFdivS, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const fp_rd = fw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T; uint32_t* const fp_rs2 = fw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        fp_rd[l] =
-            f2u(u2f(fp_rs1[l]) / u2f(fp_rs2[l]));
-      });
-    });
-    set(Op::kFsqrtS, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const fp_rd = fw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T;
-      c.lanes(w, [&](uint32_t l) {
-        fp_rd[l] = f2u(std::sqrt(u2f(fp_rs1[l])));
-      });
-    });
-    set(Op::kFsgnjS, exec_FsgnjS);
-    set(Op::kFsgnjnS, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const fp_rd = fw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T; uint32_t* const fp_rs2 = fw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        fp_rd[l] =
-            (fp_rs1[l] & 0x7FFFFFFFu) | (~fp_rs2[l] & 0x80000000u);
-      });
-    });
-    set(Op::kFsgnjxS, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const fp_rd = fw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T; uint32_t* const fp_rs2 = fw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        fp_rd[l] =
-            fp_rs1[l] ^ (fp_rs2[l] & 0x80000000u);
-      });
-    });
-    set(Op::kFminS, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const fp_rd = fw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T; uint32_t* const fp_rs2 = fw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        fp_rd[l] =
-            f2u(std::fmin(u2f(fp_rs1[l]), u2f(fp_rs2[l])));
-      });
-    });
-    set(Op::kFmaxS, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const fp_rd = fw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T; uint32_t* const fp_rs2 = fw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        fp_rd[l] =
-            f2u(std::fmax(u2f(fp_rs1[l]), u2f(fp_rs2[l])));
-      });
-    });
-    set(Op::kFcvtWS, exec_FcvtWS);
-    set(Op::kFcvtWuS, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w); uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] = fcvt_w_s(u2f(fp_rs1[l]), true);
-      });
-    });
-    set(Op::kFcvtSW, exec_FcvtSW);
-    set(Op::kFcvtSWu, exec_FcvtSWu);
-    set(Op::kFmvXW, exec_FmvXW);
-    set(Op::kFmvWX, exec_FmvWX);
-    set(Op::kFclassS, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w); uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const fp_rs1 = fw + in.rs1 * T; uint32_t* const xp_rd = xw + in.rd * T;
-      c.lanes(w, [&](uint32_t l) {
-        const float f = u2f(fp_rs1[l]);
-        uint32_t cls = 0;
-        if (std::isnan(f)) {
-          cls = 1u << 9;
-        } else if (std::isinf(f)) {
-          cls = f < 0 ? 1u << 0 : 1u << 7;
-        } else if (f == 0.0f) {
-          cls = std::signbit(f) ? 1u << 3 : 1u << 4;
-        } else if (std::fpclassify(f) == FP_SUBNORMAL) {
-          cls = f < 0 ? 1u << 2 : 1u << 5;
-        } else {
-          cls = f < 0 ? 1u << 1 : 1u << 6;
-        }
-        xp_rd[l] = cls;
-      });
-    });
-    set(Op::kFeqS, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w); uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T; uint32_t* const fp_rs2 = fw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] =
-            u2f(fp_rs1[l]) == u2f(fp_rs2[l]) ? 1 : 0;
-      });
-    });
-    set(Op::kFltS, exec_FltS);
-    set(Op::kFleS, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w); uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rd = xw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T; uint32_t* const fp_rs2 = fw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        xp_rd[l] =
-            u2f(fp_rs1[l]) <= u2f(fp_rs2[l]) ? 1 : 0;
-      });
-    });
-    set(Op::kFmaddS, exec_FmaddS);
-    set(Op::kFmsubS, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const fp_rd = fw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T; uint32_t* const fp_rs2 = fw + in.rs2 * T; uint32_t* const fp_rs3 = fw + in.rs3 * T;
-      c.lanes(w, [&](uint32_t l) {
-        fp_rd[l] = f2u(u2f(fp_rs1[l]) * u2f(fp_rs2[l]) -
-                                     u2f(fp_rs3[l]));
-      });
-    });
-    set(Op::kFnmsubS, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const fp_rd = fw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T; uint32_t* const fp_rs2 = fw + in.rs2 * T; uint32_t* const fp_rs3 = fw + in.rs3 * T;
-      c.lanes(w, [&](uint32_t l) {
-        fp_rd[l] =
-            f2u(-(u2f(fp_rs1[l]) * u2f(fp_rs2[l])) +
-                u2f(fp_rs3[l]));
-      });
-    });
-    set(Op::kFnmaddS, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* fw = c.fwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const fp_rd = fw + in.rd * T; uint32_t* const fp_rs1 = fw + in.rs1 * T; uint32_t* const fp_rs2 = fw + in.rs2 * T; uint32_t* const fp_rs3 = fw + in.rs3 * T;
-      c.lanes(w, [&](uint32_t l) {
-        fp_rd[l] =
-            f2u(-(u2f(fp_rs1[l]) * u2f(fp_rs2[l])) -
-                u2f(fp_rs3[l]));
-      });
-    });
-    // ---------------- memory (functional; local/global routed per lane) --
-    set(Op::kLb, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rd = xw + in.rd * T;
-      c.lanes(w, [&](uint32_t l) {
-        const uint32_t addr = xp_rs1[l] + static_cast<uint32_t>(in.imm);
-        xp_rd[l] =
-            static_cast<uint32_t>(static_cast<int8_t>(c.load8(addr)));
-      });
-    });
-    set(Op::kLbu, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rd = xw + in.rd * T;
-      c.lanes(w, [&](uint32_t l) {
-        const uint32_t addr = xp_rs1[l] + static_cast<uint32_t>(in.imm);
-        xp_rd[l] = c.load8(addr);
-      });
-    });
-    set(Op::kLh, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rd = xw + in.rd * T;
-      c.lanes(w, [&](uint32_t l) {
-        const uint32_t addr = xp_rs1[l] + static_cast<uint32_t>(in.imm);
-        xp_rd[l] =
-            static_cast<uint32_t>(static_cast<int16_t>(c.load16(addr)));
-      });
-    });
-    set(Op::kLhu, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rd = xw + in.rd * T;
-      c.lanes(w, [&](uint32_t l) {
-        const uint32_t addr = xp_rs1[l] + static_cast<uint32_t>(in.imm);
-        xp_rd[l] = c.load16(addr);
-      });
-    });
-    set(Op::kLw, exec_Lw);
-    set(Op::kFlw, exec_Flw);
-    set(Op::kSb, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        const uint32_t addr = xp_rs1[l] + static_cast<uint32_t>(in.imm);
-        c.store8(addr, static_cast<uint8_t>(xp_rs2[l]));
-      });
-    });
-    set(Op::kSh, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T;
-      c.lanes(w, [&](uint32_t l) {
-        const uint32_t addr = xp_rs1[l] + static_cast<uint32_t>(in.imm);
-        c.store16(addr, static_cast<uint16_t>(xp_rs2[l]));
-      });
-    });
-    set(Op::kSw, exec_Sw);
-    set(Op::kFsw, exec_Fsw);
-    set(Op::kLrW, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rd = xw + in.rd * T;
-      c.lanes(w, [&](uint32_t l) {
-        const uint32_t addr = xp_rs1[l];
-        xp_rd[l] = c.load32(addr);
-      });
-    });
-    set(Op::kScW, [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T; uint32_t* const xp_rd = xw + in.rd * T;
-      // Single-context execution: SC always succeeds (as in core.cpp).
-      c.lanes(w, [&](uint32_t l) {
-        const uint32_t addr = xp_rs1[l];
-        c.store32(addr, xp_rs2[l]);
-        xp_rd[l] = 0;
-      });
-    });
-    const Handler amo = [](TurboCore& c, uint32_t w, const TI& i) {
-      const Instr in = i.instr; uint32_t* xw = c.xwarp(w);
-      const uint32_t T = c.nthreads(); uint32_t* const xp_rs1 = xw + in.rs1 * T; uint32_t* const xp_rs2 = xw + in.rs2 * T; uint32_t* const xp_rd = xw + in.rd * T;
-      c.lanes(w, [&](uint32_t l) {
-        const uint32_t addr = xp_rs1[l];
-        const uint32_t old = c.load32(addr);
-        const uint32_t src = xp_rs2[l];
-        uint32_t next = old;
-        switch (in.op) {
-          case Op::kAmoswapW: next = src; break;
-          case Op::kAmoaddW: next = old + src; break;
-          case Op::kAmoandW: next = old & src; break;
-          case Op::kAmoorW: next = old | src; break;
-          case Op::kAmoxorW: next = old ^ src; break;
-          case Op::kAmominW:
-            next = static_cast<uint32_t>(std::min(as_i32(old), as_i32(src)));
-            break;
-          case Op::kAmomaxW:
-            next = static_cast<uint32_t>(std::max(as_i32(old), as_i32(src)));
-            break;
-          default: break;
-        }
-        c.store32(addr, next);
-        if (in.rd != 0) xp_rd[l] = old;
-      });
-    };
-    set(Op::kAmoswapW, amo);
-    set(Op::kAmoaddW, amo);
-    set(Op::kAmoandW, amo);
-    set(Op::kAmoorW, amo);
-    set(Op::kAmoxorW, amo);
-    set(Op::kAmominW, amo);
-    set(Op::kAmomaxW, amo);
+#define FGPU_TURBO_HANDLER(name, ...) t[static_cast<size_t>(Op::k##name)] = exec<Op::k##name>;
+    FGPU_ARCH_LANE_OPS(FGPU_TURBO_HANDLER)
+    FGPU_ARCH_MEMORY_OPS(FGPU_TURBO_HANDLER)
+    FGPU_TURBO_HANDLER(Csrrw)
+    FGPU_TURBO_HANDLER(Csrrs)
+    FGPU_TURBO_HANDLER(Csrrc)
+    FGPU_TURBO_HANDLER(Ecall)
+    FGPU_TURBO_HANDLER(Fence)
+#undef FGPU_TURBO_HANDLER
     return t;
   }();
   return table;
@@ -1306,7 +666,7 @@ TurboCore::TranslatedBlock* TurboCore::translate(uint32_t start_pc) {
       break;
     }
     const uint32_t word = gmem_.load32(pc);
-    const auto decoded = arch::decode(word);
+    auto decoded = arch::decode(word);
     if (!decoded) {
       // Terminate on the undecodable word; dispatch reports the error.
       blk->term = Instr{};
@@ -1322,6 +682,9 @@ TurboCore::TranslatedBlock* TurboCore::translate(uint32_t start_pc) {
       blk->take_pc = static_take_pc(*decoded, pc);
       break;
     }
+    // x0 is hardwired: a body instruction's write to it lands in the
+    // discard row (terminators guard their own link writes).
+    if (decoded->rd == 0 && !arch::writes_freg(decoded->op)) decoded->rd = kXDiscard;
     // Constant-fusion peephole: collapse `lui r, hi` [+ `addi r, r, lo`]
     // [+ `fmv.w.x f, r`] chains into one superinstruction TI. Legal within
     // a block because the thread mask only changes at terminators, so every
@@ -1368,6 +731,24 @@ TurboCore::TranslatedBlock* TurboCore::translate(uint32_t start_pc) {
   return raw;
 }
 
+// Executes one block body for warp `w`. A function of its own so the
+// dispatch loop keeps its few live values in registers.
+void TurboCore::run_body(uint32_t w, const std::vector<TI>& body) {
+  for (const TI& ti : body) {
+    switch (ti.fast) {
+#define FGPU_TURBO_FAST_CASE(name)   \
+  case kFast##name:                  \
+    exec<Op::k##name>(*this, w, ti); \
+    break;
+      FGPU_TURBO_INLINE_OPS(FGPU_TURBO_FAST_CASE)
+#undef FGPU_TURBO_FAST_CASE
+      case kFastConstX: exec_ConstX(*this, w, ti); break;
+      case kFastConstXF: exec_ConstXF(*this, w, ti); break;
+      default: ti.fn(*this, w, ti); break;
+    }
+  }
+}
+
 bool TurboCore::run_warp(uint32_t w) {
   TWarp& warp = warps_[w];
   TranslatedBlock* blk = lookup(warp.pc);
@@ -1391,50 +772,7 @@ bool TurboCore::run_warp(uint32_t w) {
                           " (possible deadlock or runaway loop)");
       return false;
     }
-    for (const TI& ti : blk->body) {
-      switch (ti.fast) {
-        case kFastLui: exec_Lui(*this, w, ti); break;
-        case kFastAuipc: exec_Auipc(*this, w, ti); break;
-        case kFastAddi: exec_Addi(*this, w, ti); break;
-        case kFastAndi: exec_Andi(*this, w, ti); break;
-        case kFastOri: exec_Ori(*this, w, ti); break;
-        case kFastXori: exec_Xori(*this, w, ti); break;
-        case kFastSlli: exec_Slli(*this, w, ti); break;
-        case kFastSrli: exec_Srli(*this, w, ti); break;
-        case kFastSrai: exec_Srai(*this, w, ti); break;
-        case kFastSlti: exec_Slti(*this, w, ti); break;
-        case kFastSltiu: exec_Sltiu(*this, w, ti); break;
-        case kFastAdd: exec_Add(*this, w, ti); break;
-        case kFastSub: exec_Sub(*this, w, ti); break;
-        case kFastAnd: exec_And(*this, w, ti); break;
-        case kFastOr: exec_Or(*this, w, ti); break;
-        case kFastXor: exec_Xor(*this, w, ti); break;
-        case kFastSll: exec_Sll(*this, w, ti); break;
-        case kFastSrl: exec_Srl(*this, w, ti); break;
-        case kFastSra: exec_Sra(*this, w, ti); break;
-        case kFastSlt: exec_Slt(*this, w, ti); break;
-        case kFastSltu: exec_Sltu(*this, w, ti); break;
-        case kFastMul: exec_Mul(*this, w, ti); break;
-        case kFastFaddS: exec_FaddS(*this, w, ti); break;
-        case kFastFsubS: exec_FsubS(*this, w, ti); break;
-        case kFastFmulS: exec_FmulS(*this, w, ti); break;
-        case kFastFmaddS: exec_FmaddS(*this, w, ti); break;
-        case kFastFcvtSW: exec_FcvtSW(*this, w, ti); break;
-        case kFastFcvtSWu: exec_FcvtSWu(*this, w, ti); break;
-        case kFastFcvtWS: exec_FcvtWS(*this, w, ti); break;
-        case kFastFmvWX: exec_FmvWX(*this, w, ti); break;
-        case kFastFmvXW: exec_FmvXW(*this, w, ti); break;
-        case kFastFsgnjS: exec_FsgnjS(*this, w, ti); break;
-        case kFastFltS: exec_FltS(*this, w, ti); break;
-        case kFastLw: exec_Lw(*this, w, ti); break;
-        case kFastSw: exec_Sw(*this, w, ti); break;
-        case kFastFlw: exec_Flw(*this, w, ti); break;
-        case kFastFsw: exec_Fsw(*this, w, ti); break;
-        case kFastConstX: exec_ConstX(*this, w, ti); break;
-        case kFastConstXF: exec_ConstXF(*this, w, ti); break;
-        default: ti.fn(*this, w, ti); break;
-      }
-    }
+    run_body(w, blk->body);
     const uint64_t retired = blk->body_retired + (blk->has_term ? 1 : 0);
     instret_ += retired;
     local_retired += retired;
@@ -1446,68 +784,39 @@ bool TurboCore::run_warp(uint32_t w) {
     const Instr& in = blk->term;
     const uint32_t pc = blk->term_pc;
     const uint64_t mask = warp.tmask;
+    // Warp-uniform operands (branches, jumps, SIMT) come from the first active lane.
+    const uint32_t lead = arch::sem::first_lane(mask);
+    arch::sem::SimtStep next{mask, arch::sem::Next::kFall};
     switch (in.op) {
       case Op::kJal:
-        if (in.rd != 0) {
-          lanes(w, [&](uint32_t l) { xr(w, l, in.rd) = pc + 4; });
-        }
-        warp.pc = blk->take_pc;
-        blk = next_take(blk);
+        if (in.rd != 0) lanes(w, [&](uint32_t l) { xr(w, l, in.rd) = arch::sem::link(pc); });
+        next.next = arch::sem::Next::kTake;
         break;
-      case Op::kJalr: {
-        const uint32_t target =
-            (xr(w, first_active_lane(mask), in.rs1) + static_cast<uint32_t>(in.imm)) & ~1u;
-        if (in.rd != 0) {
-          lanes(w, [&](uint32_t l) { xr(w, l, in.rd) = pc + 4; });
-        }
-        warp.pc = target;
-        blk = lookup(target);  // dynamic target: no chain slot
+      case Op::kJalr:
+        next = {mask, arch::sem::Next::kPc, arch::sem::jalr_target(xr(w, lead, in.rs1), in.imm)};
+        if (in.rd != 0) lanes(w, [&](uint32_t l) { xr(w, l, in.rd) = arch::sem::link(pc); });
         break;
-      }
       case Op::kBeq:
       case Op::kBne:
       case Op::kBlt:
       case Op::kBge:
       case Op::kBltu:
-      case Op::kBgeu: {
-        const uint32_t lane = first_active_lane(mask);
-        const uint32_t a = xr(w, lane, in.rs1), b = xr(w, lane, in.rs2);
-        bool taken = false;
-        switch (in.op) {
-          case Op::kBeq: taken = a == b; break;
-          case Op::kBne: taken = a != b; break;
-          case Op::kBlt: taken = as_i32(a) < as_i32(b); break;
-          case Op::kBge: taken = as_i32(a) >= as_i32(b); break;
-          case Op::kBltu: taken = a < b; break;
-          case Op::kBgeu: taken = a >= b; break;
-          default: break;
-        }
-        if (taken) {
-          warp.pc = blk->take_pc;
-          blk = next_take(blk);
-        } else {
-          warp.pc = blk->fall_pc;
-          blk = next_fall(blk);
+      case Op::kBgeu:
+        if (arch::sem::branch_taken(in.op, xr(w, lead, in.rs1), xr(w, lead, in.rs2))) {
+          next.next = arch::sem::Next::kTake;
         }
         break;
-      }
-      case Op::kTmc: {
-        const uint64_t full =
-            (config_.threads >= 64) ? ~0ull : ((1ull << config_.threads) - 1);
-        const uint64_t value = xr(w, first_active_lane(mask), in.rs1) & full;
-        warp.tmask = value;
-        if (value == 0) {
+      case Op::kTmc:
+        next.tmask = arch::sem::tmc_mask(xr(w, lead, in.rs1), config_.threads);
+        if (next.tmask == 0) {
+          warp.tmask = 0;
           warp.active = false;
           return true;
         }
-        warp.pc = blk->fall_pc;
-        blk = next_fall(blk);
         break;
-      }
       case Op::kWspawn: {
-        const uint32_t lane = first_active_lane(mask);
-        const uint32_t count = std::min(xr(w, lane, in.rs1), config_.warps);
-        const uint32_t target = xr(w, lane, in.rs2);
+        const uint32_t count = std::min(xr(w, lead, in.rs1), config_.warps);
+        const uint32_t target = xr(w, lead, in.rs2);
         for (uint32_t s = 1; s < count; ++s) {
           TWarp& spawned = warps_[s];
           if (spawned.active) continue;
@@ -1516,88 +825,36 @@ bool TurboCore::run_warp(uint32_t w) {
           spawned.pc = target;
           spawned.tmask = 1;
         }
-        warp.pc = blk->fall_pc;
-        blk = next_fall(blk);
         break;
       }
-      case Op::kSplit: {
-        uint64_t taken = 0;
-        lanes(w, [&](uint32_t l) {
-          if (xr(w, l, in.rs1) != 0) taken |= (1ull << l);
-        });
-        const uint64_t nottaken = mask & ~taken;
-        if (nottaken == 0) {
-          warp.ipdom.push_back({IpdomEntry::kUniform, 0, 0});
-          warp.pc = blk->fall_pc;
-          blk = next_fall(blk);
-        } else if (taken == 0) {
-          warp.ipdom.push_back({IpdomEntry::kUniform, 0, 0});
-          warp.pc = blk->take_pc;
-          blk = next_take(blk);
-        } else {
-          warp.ipdom.push_back({IpdomEntry::kRestore, mask, 0});
-          warp.ipdom.push_back({IpdomEntry::kElse, nottaken, blk->take_pc});
-          warp.tmask = taken;
-          warp.pc = blk->fall_pc;
-          blk = next_fall(blk);
-        }
+      case Op::kSplit:
+        next = arch::sem::split(warp.ipdom, mask, lanes_nonzero(w, in.rs1), blk->take_pc);
         break;
-      }
-      case Op::kJoin: {
-        if (warp.ipdom.empty()) {
+      case Op::kJoin:
+        next = arch::sem::join(warp.ipdom, mask);
+        if (next.next == arch::sem::Next::kFault) {
           FGPU_LOG(kError, "turbo core %u warp %u: JOIN with empty IPDOM stack at %08x",
                    core_id_, w, pc);
           warp.active = false;
           return true;
         }
-        const IpdomEntry entry = warp.ipdom.back();
-        warp.ipdom.pop_back();
-        switch (entry.kind) {
-          case IpdomEntry::kUniform:
-            warp.pc = blk->take_pc;
-            blk = next_take(blk);
-            break;
-          case IpdomEntry::kElse:
-            warp.tmask = entry.mask;
-            warp.pc = entry.pc;
-            blk = lookup(entry.pc);  // stack-carried target: no chain slot
-            break;
-          case IpdomEntry::kRestore:
-            warp.tmask = entry.mask;
-            warp.pc = blk->take_pc;
-            blk = next_take(blk);
-            break;
-        }
         break;
-      }
-      case Op::kPred: {
-        uint64_t alive = 0;
-        lanes(w, [&](uint32_t l) {
-          if (xr(w, l, in.rs1) != 0) alive |= (1ull << l);
-        });
-        if (alive == 0) {
-          warp.pc = blk->take_pc;
-          blk = next_take(blk);
-        } else {
-          warp.tmask = alive;
+      case Op::kPred:
+        next = arch::sem::pred(mask, lanes_nonzero(w, in.rs1));
+        break;
+      case Op::kBar:
+        barrier_arrive(w, arch::sem::barrier_id(xr(w, lead, in.rs1)), xr(w, lead, in.rs2));
+        if (warp.at_barrier) {  // blocked; resumes after the BAR
           warp.pc = blk->fall_pc;
-          blk = next_fall(blk);
+          return true;
         }
         break;
-      }
-      case Op::kBar: {
-        const uint32_t lane = first_active_lane(mask);
-        barrier_arrive(w, xr(w, lane, in.rs1) & 31, xr(w, lane, in.rs2));
-        warp.pc = blk->fall_pc;
-        if (warp.at_barrier) return true;  // blocked; resumes after the BAR
-        blk = next_fall(blk);
-        break;
-      }
       default:
         FGPU_LOG(kError, "turbo core %u warp %u: invalid instruction at %08x", core_id_, w, pc);
         warp.active = false;
         return true;
     }
+    blk = step(warp, blk, next);
   }
 }
 

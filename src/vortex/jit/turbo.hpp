@@ -10,9 +10,10 @@
 // but models no pipeline, caches, or stalls. It therefore reports
 // instruction counts and JIT statistics, never cycles, PerfCounters stall
 // buckets, or per-PC profiles; the cycle-exact tier (vortex/core.cpp)
-// remains the sole timing oracle. Every arithmetic expression here copies
-// core.cpp's exact form so results are bit-identical (asserted over all 28
-// Table-I benchmarks by tests/test_turbo.cpp and the CI digest gate).
+// remains the sole timing oracle. Both tiers execute the one ISA definition
+// in arch/semantics.hpp, so results are bit-identical (checked lane for lane
+// by tests/test_isa_fuzz.cpp and over all 28 Table-I benchmarks by
+// tests/test_turbo.cpp and the CI digest gate).
 #pragma once
 
 #include <cstdint>

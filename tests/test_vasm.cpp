@@ -142,6 +142,33 @@ TEST(AssemblerTest, ErrorsAreReported) {
   EXPECT_FALSE(assemble("j missing_label").is_ok());
 }
 
+// I/S-type offsets are signed 12-bit and U-type values 20-bit: an
+// out-of-range immediate is a line-numbered error, never a silent wrap
+// (2048 used to assemble as -2048, 4096 as 0, -3000 as 1096).
+TEST(AssemblerTest, ImmediatesOutOfRangeAreRejected) {
+  for (const char* bad : {"sw t3, 2048(t1)", "addi t0, t0, 4096", "lw t0, -3000(t1)",
+                          "flw f1, 4096(t1)", "slti t0, t1, -2049", "lui t0, 0x100000",
+                          "lui t0, -1"}) {
+    auto prog = assemble(std::string("li t1, 0\n") + bad);
+    ASSERT_FALSE(prog.is_ok()) << bad;
+    const std::string message = prog.status().to_string();
+    EXPECT_NE(message.find("line 2: immediate out of range"), std::string::npos) << message;
+  }
+  auto edges = assemble(R"(
+    addi t0, t0, 2047
+    addi t0, t0, -2048
+    sw t3, 2047(t1)
+    lw t0, -2048(t1)
+    lui t0, 0xFFFFF
+  )");
+  ASSERT_TRUE(edges.is_ok()) << edges.status().to_string();
+  EXPECT_EQ(arch::decode(edges->words[0])->imm, 2047);
+  EXPECT_EQ(arch::decode(edges->words[1])->imm, -2048);
+  EXPECT_EQ(arch::decode(edges->words[2])->imm, 2047);
+  EXPECT_EQ(arch::decode(edges->words[3])->imm, -2048);
+  EXPECT_EQ(arch::decode(edges->words[4])->imm, 0xFFFFF);
+}
+
 TEST(AssemblerTest, DisassembleRoundTrip) {
   const char* source = R"(
     li t0, 100
