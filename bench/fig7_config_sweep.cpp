@@ -187,9 +187,10 @@ int main(int argc, char** argv) {
   vortex::HostWork work = vec.work;
   work.accumulate(tr.work);
   printf("\nSimulator work over both grids: %llu cluster ticks, %llu core ticks "
-         "(%llu slept), %llu cycles skipped\n",
+         "(%llu slept), %llu cycles skipped, %llu capacity wakes\n",
          (unsigned long long)work.cluster_ticks, (unsigned long long)work.core_ticks,
-         (unsigned long long)work.core_ticks_slept, (unsigned long long)work.cycles_skipped);
+         (unsigned long long)work.core_ticks_slept, (unsigned long long)work.cycles_skipped,
+         (unsigned long long)work.capacity_wakes);
 
   if (!json_path.empty()) {
     std::ofstream out(json_path);

@@ -11,10 +11,18 @@ Cache::Cache(CacheConfig config, MemPort* lower)
       set_mask_(config_.num_sets() - 1),
       set_shift_(log2_floor(config_.num_sets())),
       lower_(lower),
+      // At most `ports` hits are accepted per cycle and each matures after
+      // hit_latency; a writeback follows a fill, so MSHR count is a
+      // natural starting size (the ring grows if the lower level stalls).
+      hit_queue_(config_.ports * (config_.hit_latency + 1)),
+      writeback_queue_(config_.mshrs),
       trace_name_(config_.name) {
   assert(is_pow2(config_.size_bytes) && "cache size must be a power of two");
   assert(config_.num_lines() % config_.ways == 0);
   assert(is_pow2(config_.num_sets()));
+  assert(config_.mshrs >= 1 && config_.mshrs <= (1u << kFillSlotBits) &&
+         "MSHR index must fit the fill id's slot bits");
+  mshrs_.reserve(config_.mshrs);
   lines_.resize(config_.num_lines());
   set_conflicts_.resize(config_.num_sets(), 0);
   lower_->set_response_handler(
@@ -31,7 +39,6 @@ void Cache::reset() {
   hit_queue_.clear();
   writeback_queue_.clear();
   mshrs_.clear();
-  fill_ids_.clear();
   now_ = 0;
   lru_counter_ = 0;
   accepted_this_cycle_ = 0;
@@ -95,15 +102,18 @@ void Cache::send(const MemRequest& req) {
   }
 
   // Already being fetched? Merge into the MSHR (no extra lower traffic).
-  for (auto& mshr : mshrs_) {
-    if ((!mshr.waiters.empty() || mshr.fill_sent) && mshr.line_addr == line_addr) {
-      ++stats_.mshr_merges;
-      ++stats_.misses;
-      if (profiler_) {
-        profiler_->on_merge(line_addr, req.pc, static_cast<MissClass>(mshr.miss_class));
+  // Most sends find no MSHR allocated (L1I hits) and skip the scan.
+  if (mshr_used_ > 0) {
+    for (auto& mshr : mshrs_) {
+      if ((!mshr.waiters.empty() || mshr.fill_sent) && mshr.line_addr == line_addr) {
+        ++stats_.mshr_merges;
+        ++stats_.misses;
+        if (profiler_) {
+          profiler_->on_merge(line_addr, req.pc, static_cast<MissClass>(mshr.miss_class));
+        }
+        mshr.waiters.push_back(req);
+        return;
       }
-      mshr.waiters.push_back(req);
-      return;
     }
   }
 
@@ -143,29 +153,26 @@ void Cache::send(const MemRequest& req) {
 }
 
 void Cache::on_lower_response(uint64_t id, bool /*was_write*/) {
-  auto it = fill_ids_.find(id);
-  if (it == fill_ids_.end()) return;  // writeback ack; nothing to do
-  const uint32_t line_addr = it->second;
-  fill_ids_.erase(it);
-  install(line_addr);
-  for (auto& mshr : mshrs_) {
-    if (mshr.fill_sent && mshr.line_addr == line_addr) {
-      LineState* line = lookup(line_addr);
-      for (const auto& waiter : mshr.waiters) {
-        if (waiter.is_write && line != nullptr) line->dirty = true;
-        if (handler_) handler_(waiter.id, waiter.is_write);
-      }
-      mshr.waiters.clear();
-      mshr.fill_sent = false;
-      --mshr_used_;
-      // Defer the occupancy transition to this cache's tick of the same
-      // cycle: responses arrive while now_ still holds the last ticked
-      // cycle, and how stale that is depends on idle skipping — charging
-      // here would make the histogram differ between skip modes.
-      mshr_profile_dirty_ = true;
-      break;
-    }
+  // O(1): the MSHR index is in the id's low bits; the full id must match
+  // the fill in flight. Writeback acks (id 0) never do.
+  const uint64_t slot = id & ((1u << kFillSlotBits) - 1);
+  if (slot >= mshrs_.size()) return;
+  Mshr& mshr = mshrs_[slot];
+  if (!mshr.fill_sent || mshr.fill_id != id) return;
+  install(mshr.line_addr);
+  LineState* line = lookup(mshr.line_addr);
+  for (const auto& waiter : mshr.waiters) {
+    if (waiter.is_write && line != nullptr) line->dirty = true;
+    if (handler_) handler_(waiter.id, waiter.is_write);
   }
+  mshr.waiters.clear();
+  mshr.fill_sent = false;
+  --mshr_used_;
+  // Defer the occupancy transition to this cache's tick of the same
+  // cycle: responses arrive while now_ still holds the last ticked
+  // cycle, and how stale that is depends on idle skipping — charging
+  // here would make the histogram differ between skip modes.
+  mshr_profile_dirty_ = true;
 }
 
 // Bucketed counter samples of the cumulative hit/miss/eviction totals —
@@ -214,11 +221,12 @@ void Cache::tick(uint64_t cycle) {
 
   // Issue line fills for MSHRs that have not sent one yet.
   if (mshr_unsent_ > 0) {
-    for (auto& mshr : mshrs_) {
+    for (uint32_t slot = 0; slot < mshrs_.size(); ++slot) {
+      Mshr& mshr = mshrs_[slot];
       if (!mshr.waiters.empty() && !mshr.fill_sent) {
         if (!lower_->can_accept()) break;
-        const uint64_t id = next_lower_id_++;
-        fill_ids_[id] = mshr.line_addr;
+        const uint64_t id = (next_lower_id_++ << kFillSlotBits) | slot;
+        mshr.fill_id = id;
         // The fill carries the primary waiter's PC so lower-level misses
         // stay attributable to the instruction that started the chain.
         lower_->send(MemRequest{.id = id,
@@ -235,7 +243,10 @@ void Cache::tick(uint64_t cycle) {
 uint64_t Cache::next_event_cycle() const {
   // Unsent lower-level traffic retries every cycle (its send time depends
   // on lower-level back-pressure we cannot predict): next tick is an event.
-  if (!writeback_queue_.empty() || mshr_unsent_ > 0) return now_ + 1;
+  // A full lower level refuses every retry until one of its own fill
+  // responses frees an MSHR; that is no event of this cache, and the
+  // owner wakes the sender when it happens (Cluster::tick).
+  if (has_unsent() && !lower_->full()) return now_ + 1;
   // Hit responses are drained front-gated in FIFO order, and ready cycles
   // are pushed in nondecreasing order (now_ + hit_latency), so the front
   // holds the earliest maturity.

@@ -7,14 +7,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bits.hpp"
 #include "mem/memprof.hpp"
+#include "mem/ring.hpp"
 #include "mem/timing.hpp"
 
 namespace fgpu::mem {
@@ -34,10 +33,17 @@ struct CacheConfig {
 
 class Cache final : public MemPort {
  public:
+  // Fill request ids carry their MSHR index in this many low bits, so a
+  // cache has at most 2^kFillSlotBits MSHRs.
+  static constexpr uint32_t kFillSlotBits = 8;
+
   // `lower` is the next level (L2 or DRAM); not owned.
   Cache(CacheConfig config, MemPort* lower);
 
   bool can_accept() const override;
+  // Every MSHR allocated: refuses all sends until a fill response (the
+  // only place an MSHR is released) arrives from the lower level.
+  bool full() const override { return mshr_used_ >= config_.mshrs; }
   void send(const MemRequest& req) override;
   void set_response_handler(ResponseHandler handler) override { handler_ = std::move(handler); }
   void tick(uint64_t cycle) override;
@@ -45,8 +51,12 @@ class Cache final : public MemPort {
   // Earliest future cycle (> the last ticked cycle) at which this cache has
   // work to do on its own: a queued hit response maturing, or unsent
   // lower-level traffic (writebacks / MSHR fills) to retry. kNoEvent when
-  // it is quiescent apart from responses owed by the lower level.
+  // it is quiescent apart from responses owed by the lower level — and
+  // when its unsent traffic waits on a full() lower level, whose freeing
+  // event the owner watches instead (Cluster::tick).
   uint64_t next_event_cycle() const;
+  // Writebacks or MSHR fills not yet accepted by the lower level.
+  bool has_unsent() const { return !writeback_queue_.empty() || mshr_unsent_ > 0; }
 
   const CacheConfig& config() const { return config_; }
   const MemStats& stats() const { return stats_; }
@@ -105,6 +115,9 @@ class Cache final : public MemPort {
   struct Mshr {
     uint32_t line_addr = 0;  // line index (addr >> kLineShift)
     bool fill_sent = false;
+    // Request id of the fill in flight: its low kFillSlotBits hold this
+    // MSHR's index, the sequence above them rejects stale responses.
+    uint64_t fill_id = 0;
     // Miss class of the primary (allocating) miss; merged requests inherit
     // it so the exact-sum contract holds without re-classifying.
     uint8_t miss_class = 0;
@@ -129,16 +142,15 @@ class Cache final : public MemPort {
   MemPort* lower_;
   ResponseHandler handler_;
   std::vector<LineState> lines_;  // [set * ways + way]
-  std::vector<Mshr> mshrs_;
-  std::deque<PendingResponse> hit_queue_;    // hit responses in flight
-  std::deque<MemRequest> writeback_queue_;   // dirty evictions waiting to go down
+  std::vector<Mshr> mshrs_;  // indexed by the fill ids' slot bits
+  Ring<PendingResponse> hit_queue_;   // hit responses in flight
+  Ring<MemRequest> writeback_queue_;  // dirty evictions waiting to go down
   uint64_t now_ = 0;
   uint64_t lru_counter_ = 0;
   uint32_t accepted_this_cycle_ = 0;
   uint32_t mshr_used_ = 0;    // MSHRs with waiters or a fill in flight
   uint32_t mshr_unsent_ = 0;  // MSHRs still needing to send their fill
-  uint64_t next_lower_id_ = 1;
-  std::unordered_map<uint64_t, uint32_t> fill_ids_;  // lower-level id -> line addr
+  uint64_t next_lower_id_ = 1;  // fill id sequence (above the MSHR index)
   MemStats stats_;
   std::vector<uint64_t> set_conflicts_;  // evictions per set
   std::unique_ptr<CacheProfiler> profiler_;  // null unless enable_memprof()

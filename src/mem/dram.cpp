@@ -9,7 +9,7 @@ namespace fgpu::mem {
 
 DramModel::DramModel(DramConfig config)
     : config_(std::move(config)),
-      queues_(config_.channels),
+      queues_(config_.channels, Ring<Inflight>(config_.queue_depth)),
       accepted_this_cycle_(config_.channels, 0),
       trace_name_(config_.name) {}
 

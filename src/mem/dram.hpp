@@ -5,12 +5,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "mem/memprof.hpp"
+#include "mem/ring.hpp"
 #include "mem/timing.hpp"
 
 namespace fgpu::mem {
@@ -33,6 +33,9 @@ class DramModel final : public MemPort {
   explicit DramModel(DramConfig config);
 
   bool can_accept() const override;
+  // Never reported full: a refused sender (the L2, ticked every cycle
+  // while any core is awake) keeps retrying each cycle, as it always has.
+  bool full() const override { return false; }
   void send(const MemRequest& req) override;
   void set_response_handler(ResponseHandler handler) override { handler_ = std::move(handler); }
   void tick(uint64_t cycle) override;
@@ -95,7 +98,7 @@ class DramModel final : public MemPort {
   void trace_counters(uint64_t cycle);
 
   DramConfig config_;
-  std::vector<std::deque<Inflight>> queues_;  // per channel
+  std::vector<Ring<Inflight>> queues_;  // per channel, queue_depth reserved
   std::vector<uint32_t> accepted_this_cycle_;
   uint64_t now_ = 0;
   ResponseHandler handler_;

@@ -41,6 +41,12 @@ class MemPort {
 
   virtual ~MemPort() = default;
   virtual bool can_accept() const = 0;
+  // True while the port refuses every send until one of its own events
+  // frees capacity (a cache with all MSHRs allocated: only a lower-level
+  // fill response releases one). A sender blocked by a full port need not
+  // retry before that event; a port that is merely out of per-cycle
+  // bandwidth is not full.
+  virtual bool full() const = 0;
   virtual void send(const MemRequest& req) = 0;
   virtual void set_response_handler(ResponseHandler handler) = 0;
   virtual void tick(uint64_t cycle) = 0;

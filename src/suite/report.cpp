@@ -13,6 +13,7 @@ void write_json(trace::JsonWriter& w, const vortex::HostWork& work) {
   w.field("core_ticks", work.core_ticks);
   w.field("core_ticks_slept", work.core_ticks_slept);
   w.field("cycles_skipped", work.cycles_skipped);
+  w.field("capacity_wakes", work.capacity_wakes);
   w.end_object();
 }
 

@@ -1,6 +1,7 @@
 #include "vortex/cluster.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "trace/trace.hpp"
 
@@ -23,6 +24,12 @@ void add_stats(mem::MemStats& into, const mem::MemStats& from) {
   into.stall_rejects += from.stall_rejects;
 }
 
+// Marks cores [0, n) awake: one mask word per 64 cores.
+void set_all_awake(std::vector<uint64_t>& words, uint32_t n) {
+  words.assign((n + 63) / 64, ~0ull);
+  if (n % 64 != 0) words.back() = (1ull << (n % 64)) - 1;
+}
+
 }  // namespace
 
 Cluster::Cluster(const Config& config, mem::MainMemory& gmem, EcallHandler ecall_handler)
@@ -42,6 +49,7 @@ Cluster::Cluster(const Config& config, mem::MainMemory& gmem, EcallHandler ecall
     cores_.back()->l1i().set_trace_id(c);
     stall_track_names_.push_back("stalls.c" + std::to_string(c));
   }
+  set_all_awake(awake_, config_.cores);
   // Each core owns two consecutive interconnect endpoints (data and
   // instruction). A response about to reach either L1 wakes a sleeping
   // core first, so its slept cycles are charged against the frozen state —
@@ -55,6 +63,8 @@ Cluster::Cluster(const Config& config, mem::MainMemory& gmem, EcallHandler ecall
 void Cluster::hard_reset() {
   cycle_ = 0;
   asleep_ = 0;
+  set_all_awake(awake_, num_cores());
+  next_wake_ = kNoWake;
   work_ = HostWork{};
   l2_.reset();
   dram_.reset();
@@ -65,6 +75,8 @@ void Cluster::hard_reset() {
 void Cluster::reset(uint32_t entry_pc) {
   cycle_ = 0;
   asleep_ = 0;
+  set_all_awake(awake_, num_cores());
+  next_wake_ = kNoWake;
   work_ = HostWork{};
   l2_.flush();
   l2_.reset_stats();
@@ -79,6 +91,15 @@ bool Cluster::busy() const {
   return false;
 }
 
+template <typename Fn>
+void Cluster::for_each_awake(Fn&& fn) {
+  for (size_t word = 0; word < awake_.size(); ++word) {
+    for (uint64_t m = awake_[word]; m != 0; m &= m - 1) {
+      fn(*cores_[word * 64 + static_cast<size_t>(std::countr_zero(m))]);
+    }
+  }
+}
+
 void Cluster::tick() {
   if constexpr (trace::kEnabled) {
     if ((cycle_ & (trace::kCounterBucketCycles - 1)) == 0) trace_counters();
@@ -87,30 +108,28 @@ void Cluster::tick() {
   // Wake the cores whose own next event is due, and clear the progress
   // flags of the awake ones before anything can deliver a response (memory
   // responses count as progress).
-  for (auto& core : cores_) {
-    if (core->asleep()) {
-      if (core->wake_at() > cycle_) continue;
-      wake(*core);
-    }
-    core->begin_tick();
-  }
+  if (next_wake_ <= cycle_) wake_due();
+  for_each_awake([](Core& core) { core.begin_tick(); });
   // Bottom-up so responses ripple one level per cycle. A response for a
-  // sleeping core wakes it on the way (see the interconnect hook).
+  // sleeping core wakes it on the way (see the interconnect hook). The L2
+  // releases MSHRs only on DRAM fills, i.e. inside dram_.tick: a core
+  // whose L1s were refused by the full L2 wakes right after, before any L1
+  // of this cycle is ticked.
+  const bool l2_was_full = l2_.full();
   dram_.tick(cycle_);
+  if (l2_was_full && asleep_ > 0 && !l2_.full()) wake_capacity_blocked();
   l2_.tick(cycle_);
-  for (auto& core : cores_) {
-    if (!core->asleep()) core->tick_caches(cycle_);
-  }
-  for (auto& core : cores_) {
-    if (core->asleep()) continue;
-    core->tick_logic(cycle_);
+  for_each_awake([this](Core& core) { core.tick_caches(cycle_); });
+  for_each_awake([this](Core& core) {
+    core.tick_logic(cycle_);
     ++work_.core_ticks;
-  }
+  });
   ++cycle_;
 }
 
 void Cluster::wake(Core& core) {
   work_.core_ticks_slept += core.wake(cycle_);
+  awake_[core.id() / 64] |= 1ull << (core.id() % 64);
   --asleep_;
 }
 
@@ -120,27 +139,58 @@ void Cluster::wake_all() {
   }
 }
 
+// Wakes the sleeping cores whose own next event is due and recomputes the
+// earliest wake-up of the ones left asleep.
+void Cluster::wake_due() {
+  next_wake_ = kNoWake;
+  for (auto& core : cores_) {
+    if (!core->asleep()) continue;
+    if (core->wake_at() <= cycle_) {
+      wake(*core);
+    } else {
+      next_wake_ = std::min(next_wake_, core->wake_at());
+    }
+  }
+}
+
+// The L2 just left the full state. A sleeping core whose L1 still holds
+// unsent traffic fell asleep while the L2 refused it; every retry until
+// now would have been refused again without changing any state, so waking
+// it here, before its L1's tick, reproduces the per-cycle schedule.
+void Cluster::wake_capacity_blocked() {
+  for (auto& core : cores_) {
+    if (core->asleep() && (core->l1d().has_unsent() || core->l1i().has_unsent())) {
+      wake(*core);
+      ++work_.capacity_wakes;
+    }
+  }
+}
+
 // Per-core sleep (Config::idle_skip). Called after a tick: a core that made
 // no progress on that cycle, and whose L1s have nothing due next cycle,
 // would repeat the same issue outcome on every cycle until its own next
-// event or until a lower-level response reaches one of its L1s. It stops
-// being ticked until then; on wake, Core::fast_forward bulk-attributes the
-// slept cycles to the stall bucket it charged on the base cycle (preserving
-// PerfCounters, the per-PC profile's exact-sum contract and the occupancy
-// samples to the cycle; see tests/test_fastpath.cpp). When every core is
-// asleep the cluster jumps straight to the earliest core wake-up or L2/DRAM
-// event — the same mechanism with nothing left to tick.
+// event, until a lower-level response reaches one of its L1s, or — when
+// its L1s hold traffic the full L2 refuses — until the L2 frees an MSHR.
+// It stops being ticked until then; on wake, Core::fast_forward
+// bulk-attributes the slept cycles to the stall bucket it charged on the
+// base cycle (preserving PerfCounters, the per-PC profile's exact-sum
+// contract and the occupancy samples to the cycle; see
+// tests/test_fastpath.cpp). When every core is asleep the cluster jumps
+// straight to the earliest core wake-up or L2/DRAM event — the same
+// mechanism with nothing left to tick.
 void Cluster::sleep_idle_cores() {
   // `cycle_` was already advanced past the ticked cycle; components were
   // last ticked at cycle_ - 1 and their queries are relative to that.
   const uint64_t base = cycle_ - 1;
-  for (auto& core : cores_) {
-    if (core->asleep() || core->progressed()) continue;
-    const uint64_t wake = core->next_wake_cycle(base);
-    if (wake <= cycle_) continue;  // something due next cycle anyway
-    core->sleep(cycle_, wake);
+  for_each_awake([&](Core& core) {
+    if (core.progressed()) return;
+    const uint64_t wake = core.next_wake_cycle(base);
+    if (wake <= cycle_) return;  // something due next cycle anyway
+    core.sleep(cycle_, wake);
+    awake_[core.id() / 64] &= ~(1ull << (core.id() % 64));
     ++asleep_;
-  }
+    next_wake_ = std::min(next_wake_, wake);
+  });
   if (asleep_ < cores_.size()) return;
   uint64_t wake = std::min(dram_.next_event_cycle(), l2_.next_event_cycle());
   for (const auto& core : cores_) wake = std::min(wake, core->wake_at());

@@ -48,8 +48,10 @@ class Cluster {
   // valid between kernels — reset(entry_pc) remains the per-launch boundary.
   void hard_reset();
   // One cycle: wakes the sleeping cores whose own next event is due, then
-  // ticks DRAM, L2 and every awake core with its L1s. Cores only fall
-  // asleep inside run(), so single-stepping ticks every core every cycle.
+  // ticks DRAM, L2 and every awake core with its L1s. A core whose L1s
+  // wait on a full L2 is woken when a DRAM fill frees an L2 MSHR. Cores
+  // only fall asleep inside run(), so single-stepping ticks every core
+  // every cycle.
   void tick();
   bool busy() const;
   uint64_t cycle() const { return cycle_; }
@@ -66,6 +68,11 @@ class Cluster {
   void sleep_idle_cores();
   void wake(Core& core);
   void wake_all();
+  void wake_due();
+  void wake_capacity_blocked();
+  // Calls fn(core) for every awake core, in index order.
+  template <typename Fn>
+  void for_each_awake(Fn&& fn);
 
   Config config_;
   mem::MainMemory& gmem_;
@@ -76,6 +83,12 @@ class Cluster {
   std::vector<std::string> stall_track_names_;  // "stalls.cN" trace tracks
   uint64_t cycle_ = 0;
   uint32_t asleep_ = 0;  // cores currently asleep
+  // Bit c % 64 of word c / 64 is set while core c is awake: the per-cycle
+  // loops visit awake cores only.
+  std::vector<uint64_t> awake_;
+  // No sleeping core's own wake-up is due before this cycle (a lower
+  // bound: cores woken by a response leave it early, never late).
+  uint64_t next_wake_ = kNoWake;
   HostWork work_;
 };
 

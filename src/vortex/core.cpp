@@ -201,7 +201,8 @@ void Core::redirect(Warp& warp, uint32_t new_pc) {
   warp.ibuffer.clear();
 }
 
-void Core::barrier_arrive(uint32_t warp_id, uint32_t id, uint32_t count, uint64_t cycle) {
+void Core::barrier_arrive(uint32_t warp_id, uint32_t id, uint32_t count,
+                          [[maybe_unused]] uint64_t cycle) {
   Warp& warp = warps_[warp_id];
   warp.at_barrier = true;
   warp.barrier_id = id;
@@ -536,7 +537,10 @@ template <Op op>
     ++perf_.loads;
   }
 
-  std::vector<uint32_t> lines;
+  // Line addresses collect in a reused scratch vector, swapped into the
+  // LSU entry below (no allocation per memory instruction).
+  std::vector<uint32_t>& lines = lines_scratch_;
+  lines.clear();
   bool all_local = true;
 
   for (uint32_t lane = 0; lane < config_.threads; ++lane) {
@@ -594,7 +598,7 @@ template <Op op>
     entry.rd = in.rd;
     entry.pc = pc;
     entry.token = next_mem_id_++;
-    entry.lines_pending = std::move(lines);
+    entry.lines_pending.swap(lines);
     entry.outstanding = 0;
     --lsu_free_;
     if (entry.has_rd) {
@@ -777,6 +781,7 @@ void Core::execute(uint32_t w, const FetchSlot& slot, uint64_t cycle) {
 
 void Core::do_lsu(uint64_t cycle) {
   (void)cycle;
+  if (lsu_free_ == config_.lsu_queue_depth) return;  // no entry valid
   uint32_t sent = 0;
   for (auto& entry : lsu_queue_) {
     if (!entry.valid || entry.lines_pending.empty()) continue;
@@ -826,7 +831,8 @@ void Core::do_fetch(uint64_t cycle) {
 // self-scheduled event. The cluster uses it as the wake-up time of a core
 // put to sleep after a no-progress cycle; kNoWake means "waiting on the L2
 // only" (a delivery into either L1 wakes the core: the Cluster's
-// interconnect hook).
+// interconnect hook; so does the full L2 freeing an MSHR while an L1
+// holds unsent traffic: Cluster::tick).
 uint64_t Core::next_wake_cycle(uint64_t now) const {
   uint64_t wake = std::min(l1d_.next_event_cycle(), l1i_.next_event_cycle());
   if (completions_min_ready_ != kNoWake) {

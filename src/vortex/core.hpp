@@ -90,14 +90,16 @@ class Core {
   bool progressed() const { return progressed_; }
   // Earliest cycle (> now) at which this core or one of its L1s has a
   // self-scheduled event: a completion retiring, a non-pipelined FU
-  // becoming ready, a hit response maturing or unsent L1 traffic to retry.
-  // kNoWake when it is waiting purely on responses from the L2.
+  // becoming ready, a hit response maturing or unsent L1 traffic to retry
+  // (not while the L2 is full). kNoWake when it is waiting purely on the
+  // L2: a response, or an MSHR for its unsent traffic.
   uint64_t next_wake_cycle(uint64_t now) const;
 
   // Stops ticking this core and its L1s from cycle `from` on, after a cycle
   // in which it made no progress. Its state is frozen until `wake_at` (its
-  // own next event) or until a lower-level response reaches either L1,
-  // whichever comes first.
+  // own next event), until a lower-level response reaches either L1, or,
+  // when an L1 holds traffic the full L2 refused, until the L2 frees an
+  // MSHR — whichever comes first.
   void sleep(uint64_t from, uint64_t wake_at) {
     asleep_ = true;
     sleep_from_ = from;
@@ -305,6 +307,7 @@ class Core {
   uint64_t completions_min_ready_ = kNoWake;  // min ready_cycle in completions_
   std::vector<LsuEntry> lsu_queue_;
   uint32_t lsu_free_ = 0;       // entries with valid == false
+  std::vector<uint32_t> lines_scratch_;  // execute_memory's line list, swapped into entries
   uint64_t next_mem_id_ = 1;    // never reset: ids stay unique across runs
 
   // Decode cache: word index (pc - kCodeBase)/4 -> decoded entry. Grows to

@@ -97,6 +97,9 @@ class TurboCore {
     Instr instr;
     uint32_t pc = 0;
     uint8_t fast = 0;  // FastOp dispatch code; 0 = dispatch through fn
+    // Guest instructions of the block retired up to and including this
+    // one: a mid-block instret CSR read adds it to the block-entry count.
+    uint32_t retired = 0;
   };
 
   struct TranslatedBlock {
@@ -244,7 +247,9 @@ class TurboCore {
   bool full8(uint32_t w) const { return warps_[w].tmask == 0xFFull && config_.threads == 8; }
 
   // Functional tier: no cycle model, so the cycle CSR reads 0. Instret
-  // counts this core's retired instructions, as in the cycle simulator.
+  // counts this core's retired instructions, as in the cycle simulator;
+  // instret_ is the count at block entry (the CSR handler adds its
+  // position in the block).
   arch::CsrView csr_view(uint32_t w) const {
     return arch::CsrView{.warp = w, .core = core_id_, .tmask = warps_[w].tmask,
                          .threads = config_.threads, .warps = config_.warps,
@@ -558,6 +563,7 @@ FGPU_TURBO_HOT void exec(TurboCore& c, uint32_t w, const TI& i) {
   } else if constexpr (op == Op::kCsrrw || op == Op::kCsrrs || op == Op::kCsrrc) {
     uint32_t* const rd = row(Src::kX, in.rd);
     arch::CsrView view = c.csr_view(w);
+    view.instret += i.retired;
     c.lanes(w, [&](uint32_t l) {
       view.lane = l;
       rd[l] = sem::read_csr(imm, view);
@@ -722,7 +728,7 @@ TurboCore::TranslatedBlock* TurboCore::translate(uint32_t start_pc) {
       blk->body.push_back(TI{handler_table()[static_cast<size_t>(decoded->op)], *decoded, pc,
                              fast_op_for(decoded->op)});
     }
-    ++blk->body_retired;
+    blk->body.back().retired = ++blk->body_retired;
     pc += 4;
   }
   ++stats_.blocks_translated;
@@ -755,7 +761,8 @@ bool TurboCore::run_warp(uint32_t w) {
   // Retired counts accumulate in a local and flush once per run_warp exit:
   // stats_ and the launch-wide counter live behind pointers whose targets
   // handler stores may alias (TBAA), so per-block RMWs through them would
-  // reload every block. instret_ stays per-block exact for CSR reads.
+  // reload every block. instret_ advances per block; CSR reads inside one
+  // add their TI's block-relative count.
   uint64_t local_retired = 0;
   struct Flush {
     TurboCore& c;

@@ -106,12 +106,14 @@ struct HostWork {
   uint64_t core_ticks = 0;        // core pipeline ticks executed
   uint64_t core_ticks_slept = 0;  // core cycles charged in bulk on wake
   uint64_t cycles_skipped = 0;    // cycles jumped with every core asleep
+  uint64_t capacity_wakes = 0;    // sleeping cores woken by the L2 freeing an MSHR
 
   void accumulate(const HostWork& other) {
     cluster_ticks += other.cluster_ticks;
     core_ticks += other.core_ticks;
     core_ticks_slept += other.core_ticks_slept;
     cycles_skipped += other.cycles_skipped;
+    capacity_wakes += other.capacity_wakes;
   }
 };
 

@@ -177,14 +177,13 @@ struct AsmRun {
   mem::MainMemory memory;
 };
 
-// Runs `prog` on one core with the per-PC profiler sampling occupancy
+// Runs `prog` on `config` with the per-PC profiler sampling occupancy
 // every cycle and the memory profiler on.
-AsmRun run_profiled(const vasm::Program& prog, uint32_t warps, bool idle_skip,
+AsmRun run_profiled(const vasm::Program& prog, vortex::Config config, bool idle_skip,
                     const std::vector<std::pair<uint32_t, uint32_t>>& data = {}) {
   AsmRun run;
   run.memory.write(prog.base, prog.words.data(), prog.size_bytes());
   for (const auto& [addr, value] : data) run.memory.store32(addr, value);
-  vortex::Config config = vortex::Config::with(1, warps, 1);
   config.profile = true;
   config.profile_interval = 1;
   config.memprof = true;
@@ -268,8 +267,8 @@ TEST(SleepTest, WarpExitsWithFetchInFlightAndIsRespawnedAroundSleep) {
                                                             {0x20002000, 0x20003000},
                                                             {0x20003000, 0x20004000},
                                                             {0x20004000, 0}};
-  const AsmRun off = run_profiled(*prog, 2, false, chain);
-  const AsmRun on = run_profiled(*prog, 2, true, chain);
+  const AsmRun off = run_profiled(*prog, vortex::Config::with(1, 2, 1), false, chain);
+  const AsmRun on = run_profiled(*prog, vortex::Config::with(1, 2, 1), true, chain);
   expect_same_run(off, on);
   EXPECT_EQ(on.memory.load32(0x20000000), 7u);
   EXPECT_EQ(on.stats.perf.warps_spawned, 2u);
@@ -286,8 +285,8 @@ TEST(SleepTest, WarpExitsWithFetchInFlightAndIsRespawnedAroundSleep) {
 TEST(SleepTest, L2FillWakesSleepingCoreBeforeDelivery) {
   auto prog = vasm::assemble(kLoopProgram);
   ASSERT_TRUE(prog.is_ok()) << prog.status().to_string();
-  const AsmRun off = run_profiled(*prog, 1, false);
-  const AsmRun on = run_profiled(*prog, 1, true);
+  const AsmRun off = run_profiled(*prog, vortex::Config::with(1, 1, 1), false);
+  const AsmRun on = run_profiled(*prog, vortex::Config::with(1, 1, 1), true);
   expect_same_run(off, on);
   EXPECT_GT(on.stats.work.core_ticks_slept, 0u);
 
@@ -301,6 +300,85 @@ TEST(SleepTest, L2FillWakesSleepingCoreBeforeDelivery) {
     EXPECT_EQ(it->ready, 0u) << "cycle " << it->cycle;
     EXPECT_EQ(it->blocked, 1u) << "cycle " << it->cycle;
   }
+}
+
+// Each core loads four lines of its own, so both cores' L1Ds miss at once
+// into a one-MSHR L2: the L2 refuses one core's fills while it serves the
+// other's, and that core sleeps with its L1D holding unsent fills. It
+// wakes when a DRAM fill frees the L2 MSHR — a fill the *other* core's L1
+// receives, so no delivery reaches the sleeper: the capacity wake is its
+// only way back.
+constexpr const char* kTwoCoreMissProgram = R"(
+    csrr t0, 0xCC2
+    slli t0, t0, 12
+    li t1, 0x20000000
+    add t1, t1, t0
+    lw t2, 0(t1)
+    lw t3, 16(t1)
+    lw t4, 32(t1)
+    lw t5, 48(t1)
+    add t2, t2, t3
+    add t2, t2, t4
+    add t2, t2, t5
+    sw t2, 64(t1)
+    tmc zero
+)";
+
+TEST(SleepTest, FullL2WakesBlockedCoreWhenItFreesAnMshr) {
+  auto prog = vasm::assemble(kTwoCoreMissProgram);
+  ASSERT_TRUE(prog.is_ok()) << prog.status().to_string();
+  vortex::Config config = vortex::Config::with(2, 1, 1);
+  config.l2.mshrs = 1;
+  const std::vector<std::pair<uint32_t, uint32_t>> data = {
+      {0x20000000, 1}, {0x20000010, 2}, {0x20000020, 3}, {0x20000030, 4},
+      {0x20001000, 5}, {0x20001010, 6}, {0x20001020, 7}, {0x20001030, 8}};
+  const AsmRun off = run_profiled(*prog, config, false, data);
+  const AsmRun on = run_profiled(*prog, config, true, data);
+  expect_same_run(off, on);
+  EXPECT_EQ(on.memory.load32(0x20000040), 10u);
+  EXPECT_EQ(on.memory.load32(0x20001040), 26u);
+  EXPECT_EQ(off.stats.work.capacity_wakes, 0u);
+  EXPECT_GT(on.stats.work.capacity_wakes, 0u);
+  EXPECT_EQ(on.stats.work.core_ticks + on.stats.work.core_ticks_slept, 2 * on.stats.perf.cycles);
+}
+
+// The suite at a shape whose shared L2 runs full (16 cores of 8x8 warps on
+// the load-heavy kernels): with sleep on, capacity wakes fire, and the
+// PerfCounters, per-PC profile and memory profile stay identical to the
+// every-core-every-cycle run.
+TEST(SleepTest, SuiteAtFullL2ShapeIsExactWithSleepOnAndOff) {
+  Log::level() = LogLevel::kOff;
+  std::string docs[2];
+  vortex::HostWork work[2];
+  std::vector<vortex::PerfCounters> perf[2];
+  for (const bool idle_skip : {false, true}) {
+    suite::RunnerOptions options;
+    options.filter = "^(vecadd|transpose)$";
+    options.run_hls = false;
+    options.capture_profile = true;
+    options.capture_memprof = true;
+    options.vortex_config = vortex::Config::with(16, 8, 8);
+    options.vortex_config.idle_skip = idle_skip;
+    auto run = suite::run_all(options);
+    ASSERT_TRUE(run.is_ok()) << run.status().to_string();
+    ASSERT_EQ(run->outcomes.size(), 2u);
+    std::ostringstream os;
+    suite::write_stats_json(os, options, *run);
+    suite::write_profile_json(os, options, *run);
+    suite::write_mem_json(os, options, *run);
+    docs[idle_skip] = os.str();
+    for (const auto& outcome : run->outcomes) {
+      ASSERT_TRUE(outcome.vortex.ok()) << outcome.name;
+      expect_work_invariants(outcome, 16, idle_skip);
+      work[idle_skip].accumulate(outcome.vortex.work);
+      perf[idle_skip].push_back(outcome.vortex.last.perf);
+    }
+  }
+  EXPECT_TRUE(perf[false] == perf[true]);
+  expect_same_bytes(docs[false], docs[true]);
+  EXPECT_EQ(work[false].capacity_wakes, 0u);
+  EXPECT_GT(work[true].capacity_wakes, 0u);
+  EXPECT_LT(work[true].core_ticks, work[false].core_ticks);
 }
 
 // ---------------------------------------------------------------------------

@@ -85,9 +85,13 @@ const char* const kFpCmp[] = {"feq.s", "flt.s", "fle.s"};
 const char* const kFma[] = {"fmadd.s", "fmsub.s", "fnmsub.s", "fnmadd.s"};
 const char* const kAmos[] = {"amoadd.w", "amoand.w", "amoor.w", "amoxor.w", "amomin.w",
                              "amomax.w"};
-// Lane, warp, core, thread mask and machine-size CSRs (cycle and instret
-// are timing, not architecture: the functional tier does not model them).
+// Lane, warp, core, thread mask and machine-size CSRs (cycle is timing,
+// not architecture: the functional tier does not model it).
 const uint32_t kCsrs[] = {0xCC0, 0xCC1, 0xCC2, 0xCC3, 0xFC0, 0xFC1, 0xFC2};
+// Plus instret, in the classes where one warp runs per core: instret
+// counts the core's retirements, and the tiers interleave warps
+// differently.
+const uint32_t kSingleWarpCsrs[] = {0xCC0, 0xCC1, 0xCC2, 0xCC3, 0xFC0, 0xFC1, 0xFC2, 0xC02};
 
 class ProgramGen {
  public:
@@ -241,7 +245,11 @@ class ProgramGen {
         switch (uniform(3)) {
           case 0: emit(cat(pick(kFpCmp), " ", xdst(), ", ", fsrc(), ", ", fsrc())); break;
           case 1: emit(cat(coin(2) ? "fclass.s " : "fmv.x.w ", xdst(), ", ", fsrc())); break;
-          default: emit(cat("csrr ", xdst(), ", ", pick(kCsrs))); break;
+          default: {
+            const bool single_warp = cls_ == Class::kAluMulFp || cls_ == Class::kDivergence;
+            emit(cat("csrr ", xdst(), ", ", single_warp ? pick(kSingleWarpCsrs) : pick(kCsrs)));
+            break;
+          }
         }
         break;
       case 9:

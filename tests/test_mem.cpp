@@ -10,6 +10,7 @@
 #include "mem/interconnect.hpp"
 #include "mem/memory.hpp"
 #include "mem/memprof.hpp"
+#include "mem/ring.hpp"
 
 namespace fgpu::mem {
 namespace {
@@ -281,6 +282,182 @@ INSTANTIATE_TEST_SUITE_P(Geometries, CacheGeometry,
                                            std::tuple{4, 2, 2}, std::tuple{4, 4, 8},
                                            std::tuple{16, 2, 6}, std::tuple{16, 8, 16},
                                            std::tuple{64, 4, 4}));
+
+// ---------------------------------------------------------------------------
+// Back-pressure as an event: full(), next_event_cycle, response routing
+// ---------------------------------------------------------------------------
+
+// A lower level the test answers by hand: records every request it
+// accepts, and refuses sends while `accepting` is false.
+struct ScriptedPort final : MemPort {
+  bool can_accept() const override { return accepting; }
+  bool full() const override { return false; }
+  void send(const MemRequest& req) override { sent.push_back(req); }
+  void set_response_handler(ResponseHandler h) override { handler = std::move(h); }
+  void tick(uint64_t /*cycle*/) override {}
+  void respond(uint64_t id, bool was_write = false) { handler(id, was_write); }
+
+  bool accepting = true;
+  std::vector<MemRequest> sent;
+  ResponseHandler handler;
+};
+
+// An L1 over a one-MSHR L2 over DRAM, ticked bottom-up like the cluster.
+struct TwoLevel {
+  DramModel dram{DramConfig{"test", 20, 1, 1, 32}};
+  Cache l2;
+  Cache l1;
+  std::vector<uint64_t> l1_responses;
+  uint64_t cycle = 0;
+
+  explicit TwoLevel(CacheConfig l2_config) : l2(l2_config, &dram), l1(CacheConfig{}, &l2) {
+    l1.set_response_handler([this](uint64_t id, bool) { l1_responses.push_back(id); });
+  }
+  void tick() {
+    dram.tick(cycle);
+    l2.tick(cycle);
+    l1.tick(cycle);
+    ++cycle;
+  }
+};
+
+TEST(BackPressureTest, FullLowerLevelIsNoRetryEvent) {
+  CacheConfig l2_config;
+  l2_config.name = "l2";
+  l2_config.mshrs = 1;
+  TwoLevel h(l2_config);
+  h.tick();
+  // Another requester takes the L2's only MSHR.
+  h.l2.send(MemRequest{.id = 900, .addr = 0x8000});
+  EXPECT_TRUE(h.l2.full());
+  h.l1.send(MemRequest{.id = 1, .addr = 0x1000});
+  h.tick();  // the L1's fill is refused
+  ASSERT_TRUE(h.l1.has_unsent());
+  // Nothing of the L1's own can change until the L2 frees its MSHR.
+  EXPECT_EQ(h.l1.next_event_cycle(), kNoEvent);
+  uint64_t guard = 0;
+  while (h.l1.has_unsent()) {
+    ASSERT_LT(++guard, 200u);
+    EXPECT_TRUE(h.l2.full()) << "cycle " << h.cycle;
+    EXPECT_EQ(h.l1.next_event_cycle(), kNoEvent) << "cycle " << h.cycle;
+    h.tick();
+  }
+  // The L2 freed its MSHR inside a DRAM tick and the L1 took it in the
+  // same cycle's L1 tick: the L2 is full again, now with the L1's fill.
+  EXPECT_GT(guard, 10u);  // a DRAM round trip, not a retry
+  EXPECT_TRUE(h.l2.full());
+  while (h.l1_responses.empty()) {
+    ASSERT_LT(++guard, 400u);
+    h.tick();
+  }
+  EXPECT_EQ(h.l1_responses, std::vector<uint64_t>{1});
+}
+
+TEST(BackPressureTest, PortLimitedLowerLevelRetriesNextCycle) {
+  CacheConfig l2_config;
+  l2_config.name = "l2";
+  l2_config.ports = 1;
+  TwoLevel h(l2_config);
+  h.dram.tick(0);
+  h.l2.tick(0);
+  // Another requester uses the L2's only port this cycle.
+  h.l2.send(MemRequest{.id = 900, .addr = 0x8000});
+  h.l1.send(MemRequest{.id = 1, .addr = 0x1000});
+  h.l1.tick(0);
+  ASSERT_TRUE(h.l1.has_unsent());
+  EXPECT_FALSE(h.l2.full());
+  EXPECT_EQ(h.l1.next_event_cycle(), 1u);
+  h.cycle = 1;
+  h.tick();  // fresh port: the fill goes out
+  EXPECT_FALSE(h.l1.has_unsent());
+  EXPECT_EQ(h.l1.next_event_cycle(), kNoEvent);
+}
+
+TEST(BackPressureTest, FullIsForwardedThroughTheInterconnect) {
+  CacheConfig l2_config;
+  l2_config.mshrs = 1;
+  DramModel dram(DramConfig::ddr4());
+  Cache l2(l2_config, &dram);
+  Interconnect noc(&l2);
+  MemPort* port = noc.new_port();
+  EXPECT_FALSE(dram.full());
+  EXPECT_FALSE(port->full());
+  port->send(MemRequest{.id = 1, .addr = 0x1000});  // miss: takes the MSHR
+  EXPECT_TRUE(l2.full());
+  EXPECT_TRUE(port->full());
+}
+
+TEST(BackPressureTest, WritebackAcksAndStaleFillIdsAreIgnored) {
+  CacheConfig config;
+  config.mshrs = 2;
+  ScriptedPort lower;
+  Cache cache(config, &lower);
+  std::vector<uint64_t> responses;
+  cache.set_response_handler([&](uint64_t id, bool) { responses.push_back(id); });
+  cache.tick(0);
+  cache.send(MemRequest{.id = 7, .addr = 0x1000});
+  cache.tick(1);
+  ASSERT_EQ(lower.sent.size(), 1u);
+  const uint64_t fill = lower.sent[0].id;
+  const uint64_t slot_mask = (1u << Cache::kFillSlotBits) - 1;
+  lower.respond(0, /*was_write=*/true);        // a writeback ack
+  lower.respond(fill + (1u << Cache::kFillSlotBits));  // same MSHR, other sequence
+  lower.respond((fill & ~slot_mask) | slot_mask);      // an MSHR index never allocated
+  EXPECT_TRUE(responses.empty());
+  lower.respond(fill);
+  EXPECT_EQ(responses, std::vector<uint64_t>{7});
+  lower.respond(fill);  // a duplicate of an answered fill
+  EXPECT_EQ(responses, std::vector<uint64_t>{7});
+  cache.tick(2);
+  EXPECT_EQ(cache.next_event_cycle(), kNoEvent);
+}
+
+TEST(BackPressureTest, InterconnectIgnoresTagsOfRecycledRoutes) {
+  ScriptedPort lower;
+  Interconnect noc(&lower);
+  MemPort* port = noc.new_port();
+  std::vector<uint64_t> got;
+  port->set_response_handler([&](uint64_t id, bool) { got.push_back(id); });
+  port->send(MemRequest{.id = 10, .addr = 0});
+  const uint64_t first = lower.sent.back().id;
+  lower.respond(first);
+  port->send(MemRequest{.id = 11, .addr = 16});  // recycles the route slot
+  const uint64_t second = lower.sent.back().id;
+  EXPECT_NE(first, second);
+  lower.respond(first);  // stale: the slot now carries the second request
+  EXPECT_EQ(got, std::vector<uint64_t>{10});
+  lower.respond(second);
+  EXPECT_EQ(got, (std::vector<uint64_t>{10, 11}));
+}
+
+TEST(RingTest, WrapAndGrowthKeepFifoOrder) {
+  Ring<uint32_t> ring(4);
+  EXPECT_EQ(ring.capacity(), 4u);
+  uint32_t next_in = 0, next_out = 0;
+  // Wrap the head around a few times at a steady depth of 3.
+  for (int i = 0; i < 3; ++i) ring.push_back(next_in++);
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(ring.front(), next_out++);
+    ring.pop_front();
+    ring.push_back(next_in++);
+  }
+  EXPECT_EQ(ring.capacity(), 4u);
+  // Grow while wrapped: order survives each doubling.
+  for (int i = 0; i < 20; ++i) ring.push_back(next_in++);
+  EXPECT_EQ(ring.capacity(), 32u);
+  EXPECT_EQ(ring.size(), next_in - next_out);
+  while (!ring.empty()) {
+    EXPECT_EQ(ring.front(), next_out++);
+    ring.pop_front();
+  }
+  EXPECT_EQ(next_out, next_in);
+  ring.push_back(99);
+  ring.clear();
+  EXPECT_TRUE(ring.empty());
+  Ring<uint32_t> lazy;  // no capacity reserved: grows on the first push
+  lazy.push_back(5);
+  EXPECT_EQ(lazy.front(), 5u);
+}
 
 TEST(MemStatsTest, EqualityOperator) {
   MemStats a, b;

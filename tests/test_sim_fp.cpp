@@ -183,7 +183,8 @@ TEST(SimFpTest, DivisionInfinityAndZero) {
   }
 }
 
-// Timing behaviour: the cycle-exact tier only.
+// Timing behaviour: the cycle-exact tier only (except instret, which both
+// tiers count).
 TEST(SimBehaviorTest, CycleCsrIsMonotonic) {
   auto r = run_asm(Tier::kCycleExact, R"(
     csrr t0, 0xC00
@@ -272,8 +273,13 @@ TEST(SimBehaviorTest, MoreWarpsHideLoadLatency) {
   EXPECT_LT(four.stats.perf.cycles, one.stats.perf.cycles * 5 / 2);
 }
 
+// instret counts every retired instruction up to and including the
+// reading one, on both tiers — also inside one translated turbo block,
+// and across block boundaries.
 TEST(SimBehaviorTest, InstretCsrCountsRetiredInstructions) {
-  auto r = run_asm(Tier::kCycleExact, R"(
+  for (const Tier tier : kTiers) {
+    SCOPED_TRACE(tier_name(tier));
+    auto r = run_asm(tier, R"(
     csrr t0, 0xC02
     addi t1, zero, 1
     addi t1, t1, 1
@@ -282,9 +288,29 @@ TEST(SimBehaviorTest, InstretCsrCountsRetiredInstructions) {
     sub t3, t2, t0
     li t5, 0x20000000
     sw t3, 0(t5)
+    sw t0, 4(t5)
     tmc zero
   )", Config::with(1, 1, 1));
-  EXPECT_EQ(r.mem.load32(kOut), 4u);  // 3 addis + the first csrr retire between reads
+    EXPECT_EQ(r.mem.load32(kOut), 4u);  // 3 addis + the first csrr retire between reads
+    EXPECT_EQ(r.mem.load32(kOut + 4), 1u);  // the first read counts itself
+  }
+}
+
+TEST(SimBehaviorTest, InstretCsrCountsAcrossBlocks) {
+  for (const Tier tier : kTiers) {
+    SCOPED_TRACE(tier_name(tier));
+    auto r = run_asm(tier, R"(
+    li t1, 3
+  loop:
+    addi t1, t1, -1
+    bne t1, zero, loop
+    csrr t2, 0xC02
+    li t5, 0x20000000
+    sw t2, 0(t5)
+    tmc zero
+  )", Config::with(1, 1, 1));
+    EXPECT_EQ(r.mem.load32(kOut), 8u);  // li, 3 x (addi, bne), the csrr
+  }
 }
 
 }  // namespace

@@ -32,7 +32,8 @@ When both documents carry turbo sections, the turbo dispatch throughput and
 turbo-over-vortex speedup trajectory are printed too (equally non-gating).
 The same step GATES the deterministic simulator-work counters
 (vortex_work and each benchmark's vortex.work: cluster_ticks, core_ticks,
-core_ticks_slept, cycles_skipped) and the reference-interpreter counters
+core_ticks_slept, cycles_skipped, capacity_wakes) and the
+reference-interpreter counters
 (kir_work and each benchmark's kir_work: launches, node_visits, lane_ops,
 loads, stores) EXACTLY: they count simulation work, not time, so any delta
 is a fast-path behaviour change that demands a BENCH_host.json refresh.
@@ -218,7 +219,8 @@ def compare_host(host_baseline, host_current):
               f"{cur.get('turbo_speedup_over_vortex', 0):.1f}x")
 
 
-WORK_FIELDS = ("cluster_ticks", "core_ticks", "core_ticks_slept", "cycles_skipped")
+WORK_FIELDS = ("cluster_ticks", "core_ticks", "core_ticks_slept", "cycles_skipped",
+               "capacity_wakes")
 KIR_WORK_FIELDS = ("launches", "node_visits", "lane_ops", "loads", "stores")
 
 
@@ -284,7 +286,8 @@ def compare_host_work(host_baseline, host_current):
         print(f"host-work: {vortex_compared} benchmarks match exactly; suite "
               f"{total.get('core_ticks')} core ticks ({total.get('core_ticks_slept')} slept), "
               f"{total.get('cluster_ticks')} cluster ticks, "
-              f"{total.get('cycles_skipped')} cycles skipped")
+              f"{total.get('cycles_skipped')} cycles skipped, "
+              f"{total.get('capacity_wakes')} capacity wakes")
     before = len(failures)
     kir_compared = gate("kir_work", KIR_WORK_FIELDS, lambda bench: bench.get("kir_work"))
     if kir_compared is not None and len(failures) == before:
