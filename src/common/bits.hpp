@@ -37,6 +37,45 @@ constexpr uint64_t align_up(uint64_t v, uint64_t a) {
   return (v + a - 1) & ~(a - 1);
 }
 
+// A set of slot indices below SlotMask::kSlots, one bit per slot. The MSHR
+// file and the LSU queue keep one per kind of pending work, so their
+// per-cycle loops visit only the slots that hold it, in ascending slot
+// order. Both cap their slot count at kSlots: their request ids carry the
+// slot in one byte.
+class SlotMask {
+ public:
+  static constexpr uint32_t kSlots = 256;
+
+  void set(uint32_t slot) { words_[slot >> 6] |= 1ull << (slot & 63); }
+  void reset(uint32_t slot) { words_[slot >> 6] &= ~(1ull << (slot & 63)); }
+  bool test(uint32_t slot) const { return (words_[slot >> 6] >> (slot & 63)) & 1; }
+  bool any() const { return (words_[0] | words_[1] | words_[2] | words_[3]) != 0; }
+  void clear() { words_[0] = words_[1] = words_[2] = words_[3] = 0; }
+
+  // Lowest slot not in the set; kSlots when every slot is.
+  uint32_t first_clear() const {
+    for (uint32_t w = 0; w < 4; ++w) {
+      if (~words_[w] != 0) return w * 64 + static_cast<uint32_t>(std::countr_one(words_[w]));
+    }
+    return kSlots;
+  }
+
+  // Calls fn(slot) for every slot in the set, in ascending order, until fn
+  // returns true. Each word is read once, so fn may clear the slot it is
+  // given.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (uint32_t w = 0; w < 4; ++w) {
+      for (uint64_t m = words_[w]; m != 0; m &= m - 1) {
+        if (fn(w * 64 + static_cast<uint32_t>(std::countr_zero(m)))) return;
+      }
+    }
+  }
+
+ private:
+  uint64_t words_[4] = {0, 0, 0, 0};
+};
+
 // Bit-casts between float and its IEEE-754 binary32 representation; the
 // simulator register file stores all lanes as uint32_t.
 inline uint32_t f2u(float f) { return std::bit_cast<uint32_t>(f); }

@@ -20,6 +20,7 @@ Cache::Cache(CacheConfig config, MemPort* lower)
   assert(is_pow2(config_.size_bytes) && "cache size must be a power of two");
   assert(config_.num_lines() % config_.ways == 0);
   assert(is_pow2(config_.num_sets()));
+  static_assert((1u << kFillSlotBits) == SlotMask::kSlots);
   assert(config_.mshrs >= 1 && config_.mshrs <= (1u << kFillSlotBits) &&
          "MSHR index must fit the fill id's slot bits");
   mshrs_.reserve(config_.mshrs);
@@ -39,11 +40,12 @@ void Cache::reset() {
   hit_queue_.clear();
   writeback_queue_.clear();
   mshrs_.clear();
+  mshr_live_.clear();
+  mshr_unsent_.clear();
   now_ = 0;
   lru_counter_ = 0;
   accepted_this_cycle_ = 0;
   mshr_used_ = 0;
-  mshr_unsent_ = 0;
   next_lower_id_ = 1;
 }
 
@@ -54,6 +56,23 @@ Cache::LineState* Cache::lookup(uint32_t line_addr) {
     if (set[w].valid && set[w].tag == tag) return &set[w];
   }
   return nullptr;
+}
+
+void Cache::touch_hit(LineState* line, uint32_t line_addr, const MemRequest& req) {
+  ++stats_.hits;
+  if (profiler_) profiler_->on_access(line_addr, req.pc, /*is_miss=*/false);
+  line->lru = ++lru_counter_;
+  if (req.is_write) line->dirty = true;
+}
+
+Cache::Mshr* Cache::find_mshr(uint32_t line_addr) {
+  Mshr* found = nullptr;
+  mshr_live_.for_each([&](uint32_t slot) {
+    if (mshrs_[slot].line_addr != line_addr) return false;
+    found = &mshrs_[slot];
+    return true;
+  });
+  return found;
 }
 
 void Cache::install(uint32_t line_addr) {
@@ -102,26 +121,18 @@ void Cache::send(const MemRequest& req) {
   }
 
   // Already being fetched? Merge into the MSHR (no extra lower traffic).
-  // Most sends find no MSHR allocated (L1I hits) and skip the scan.
-  if (mshr_used_ > 0) {
-    for (auto& mshr : mshrs_) {
-      if ((!mshr.waiters.empty() || mshr.fill_sent) && mshr.line_addr == line_addr) {
-        ++stats_.mshr_merges;
-        ++stats_.misses;
-        if (profiler_) {
-          profiler_->on_merge(line_addr, req.pc, static_cast<MissClass>(mshr.miss_class));
-        }
-        mshr.waiters.push_back(req);
-        return;
-      }
+  if (Mshr* mshr = find_mshr(line_addr)) {
+    ++stats_.mshr_merges;
+    ++stats_.misses;
+    if (profiler_) {
+      profiler_->on_merge(line_addr, req.pc, static_cast<MissClass>(mshr->miss_class));
     }
+    mshr->waiters.push_back(req);
+    return;
   }
 
   if (LineState* line = lookup(line_addr)) {
-    ++stats_.hits;
-    if (profiler_) profiler_->on_access(line_addr, req.pc, /*is_miss=*/false);
-    line->lru = ++lru_counter_;
-    if (req.is_write) line->dirty = true;
+    touch_hit(line, line_addr, req);
     hit_queue_.push_back(PendingResponse{req, now_ + config_.hit_latency});
     return;
   }
@@ -129,36 +140,38 @@ void Cache::send(const MemRequest& req) {
   ++stats_.misses;
   MissClass miss_class{};
   if (profiler_) miss_class = profiler_->on_access(line_addr, req.pc, /*is_miss=*/true);
-  // Allocate an MSHR; caller guaranteed availability via can_accept().
-  Mshr* slot = nullptr;
-  for (auto& mshr : mshrs_) {
-    if (mshr.waiters.empty() && !mshr.fill_sent) {
-      slot = &mshr;
-      break;
-    }
-  }
-  if (slot == nullptr) {
-    assert(mshrs_.size() < config_.mshrs && "send() called without can_accept()");
-    mshrs_.push_back(Mshr{});
-    slot = &mshrs_.back();
-  }
-  slot->line_addr = line_addr;
-  slot->fill_sent = false;
-  slot->miss_class = static_cast<uint8_t>(miss_class);
-  slot->waiters.clear();
-  slot->waiters.push_back(req);
+  // Allocate the lowest free MSHR; caller guaranteed one via can_accept().
+  const uint32_t slot = mshr_live_.first_clear();
+  assert(slot < config_.mshrs && "send() called without can_accept()");
+  if (slot == mshrs_.size()) mshrs_.emplace_back();
+  Mshr& mshr = mshrs_[slot];
+  mshr.line_addr = line_addr;
+  mshr.miss_class = static_cast<uint8_t>(miss_class);
+  mshr.waiters.clear();
+  mshr.waiters.push_back(req);
+  mshr_live_.set(slot);
+  mshr_unsent_.set(slot);
   ++mshr_used_;
-  ++mshr_unsent_;
   if (profiler_) profiler_->on_mshr_change(mshr_used_, now_);
+}
+
+bool Cache::read_hit(const MemRequest& req) {
+  const uint32_t line_addr = line_of(req.addr);
+  LineState* line = lookup(line_addr);
+  if (line == nullptr) return false;
+  ++accepted_this_cycle_;
+  ++stats_.reads;
+  touch_hit(line, line_addr, req);
+  return true;
 }
 
 void Cache::on_lower_response(uint64_t id, bool /*was_write*/) {
   // O(1): the MSHR index is in the id's low bits; the full id must match
   // the fill in flight. Writeback acks (id 0) never do.
-  const uint64_t slot = id & ((1u << kFillSlotBits) - 1);
-  if (slot >= mshrs_.size()) return;
+  const uint32_t slot = static_cast<uint32_t>(id & ((1u << kFillSlotBits) - 1));
+  if (slot >= mshrs_.size() || !mshr_live_.test(slot) || mshr_unsent_.test(slot)) return;
   Mshr& mshr = mshrs_[slot];
-  if (!mshr.fill_sent || mshr.fill_id != id) return;
+  if (mshr.fill_id != id) return;
   install(mshr.line_addr);
   LineState* line = lookup(mshr.line_addr);
   for (const auto& waiter : mshr.waiters) {
@@ -166,7 +179,7 @@ void Cache::on_lower_response(uint64_t id, bool /*was_write*/) {
     if (handler_) handler_(waiter.id, waiter.is_write);
   }
   mshr.waiters.clear();
-  mshr.fill_sent = false;
+  mshr_live_.reset(slot);
   --mshr_used_;
   // Defer the occupancy transition to this cache's tick of the same
   // cycle: responses arrive while now_ still holds the last ticked
@@ -204,7 +217,7 @@ void Cache::tick(uint64_t cycle) {
     mshr_profile_dirty_ = false;
   }
   // Fast path: nothing queued anywhere — the common case for an idle cache.
-  if (hit_queue_.empty() && writeback_queue_.empty() && mshr_unsent_ == 0) return;
+  if (hit_queue_.empty() && writeback_queue_.empty() && !mshr_unsent_.any()) return;
 
   // Drain hit responses whose latency elapsed.
   while (!hit_queue_.empty() && hit_queue_.front().ready_cycle <= now_) {
@@ -219,25 +232,21 @@ void Cache::tick(uint64_t cycle) {
     writeback_queue_.pop_front();
   }
 
-  // Issue line fills for MSHRs that have not sent one yet.
-  if (mshr_unsent_ > 0) {
-    for (uint32_t slot = 0; slot < mshrs_.size(); ++slot) {
-      Mshr& mshr = mshrs_[slot];
-      if (!mshr.waiters.empty() && !mshr.fill_sent) {
-        if (!lower_->can_accept()) break;
-        const uint64_t id = (next_lower_id_++ << kFillSlotBits) | slot;
-        mshr.fill_id = id;
-        // The fill carries the primary waiter's PC so lower-level misses
-        // stay attributable to the instruction that started the chain.
-        lower_->send(MemRequest{.id = id,
-                                .addr = mshr.line_addr << kLineShift,
-                                .is_write = false,
-                                .pc = mshr.waiters.front().pc});
-        mshr.fill_sent = true;
-        --mshr_unsent_;
-      }
-    }
-  }
+  // Issue line fills for MSHRs that have not sent one yet, in slot order.
+  mshr_unsent_.for_each([&](uint32_t slot) {
+    if (!lower_->can_accept()) return true;
+    Mshr& mshr = mshrs_[slot];
+    const uint64_t id = (next_lower_id_++ << kFillSlotBits) | slot;
+    mshr.fill_id = id;
+    // The fill carries the primary waiter's PC so lower-level misses
+    // stay attributable to the instruction that started the chain.
+    lower_->send(MemRequest{.id = id,
+                            .addr = mshr.line_addr << kLineShift,
+                            .is_write = false,
+                            .pc = mshr.waiters.front().pc});
+    mshr_unsent_.reset(slot);
+    return false;
+  });
 }
 
 uint64_t Cache::next_event_cycle() const {

@@ -25,7 +25,6 @@ struct CacheConfig {
   uint32_t hit_latency = 2;   // cycles from accept to hit response
   uint32_t mshrs = 8;         // outstanding distinct miss lines
   uint32_t ports = 1;         // requests accepted per cycle
-  uint32_t mshr_slots = 8;    // merged requests per MSHR
 
   uint32_t num_lines() const { return size_bytes / kLineBytes; }
   uint32_t num_sets() const { return num_lines() / ways; }
@@ -34,7 +33,7 @@ struct CacheConfig {
 class Cache final : public MemPort {
  public:
   // Fill request ids carry their MSHR index in this many low bits, so a
-  // cache has at most 2^kFillSlotBits MSHRs.
+  // cache has at most 2^kFillSlotBits MSHRs (SlotMask::kSlots).
   static constexpr uint32_t kFillSlotBits = 8;
 
   // `lower` is the next level (L2 or DRAM); not owned.
@@ -45,6 +44,15 @@ class Cache final : public MemPort {
   // only place an MSHR is released) arrives from the lower level.
   bool full() const override { return mshr_used_ >= config_.mshrs; }
   void send(const MemRequest& req) override;
+  // Accepts a read of a resident line with send()'s exact effects on the
+  // port count, stats, LRU order and memory profiler, but queues no hit
+  // response: the caller delivers it itself hit_latency cycles later (the
+  // core does so for L1I hits). Returns false with no side effect when the
+  // line is not resident; the caller then send()s the request. A resident
+  // line never has an MSHR (only its own fill installs it, and that fill
+  // frees the MSHR), so skipping send()'s merge check is exact. Call only
+  // when can_accept().
+  bool read_hit(const MemRequest& req);
   void set_response_handler(ResponseHandler handler) override { handler_ = std::move(handler); }
   void tick(uint64_t cycle) override;
 
@@ -56,7 +64,7 @@ class Cache final : public MemPort {
   // event the owner watches instead (Cluster::tick).
   uint64_t next_event_cycle() const;
   // Writebacks or MSHR fills not yet accepted by the lower level.
-  bool has_unsent() const { return !writeback_queue_.empty() || mshr_unsent_ > 0; }
+  bool has_unsent() const { return !writeback_queue_.empty() || mshr_unsent_.any(); }
 
   const CacheConfig& config() const { return config_; }
   const MemStats& stats() const { return stats_; }
@@ -112,9 +120,10 @@ class Cache final : public MemPort {
     bool dirty = false;
     uint64_t lru = 0;
   };
+  // One miss line in flight. Whether a slot is allocated, and whether its
+  // fill is still unsent, lives in mshr_live_ / mshr_unsent_.
   struct Mshr {
     uint32_t line_addr = 0;  // line index (addr >> kLineShift)
-    bool fill_sent = false;
     // Request id of the fill in flight: its low kFillSlotBits hold this
     // MSHR's index, the sequence above them rejects stale responses.
     uint64_t fill_id = 0;
@@ -132,6 +141,10 @@ class Cache final : public MemPort {
   uint32_t set_of(uint32_t line_addr) const { return line_addr & set_mask_; }
   uint32_t tag_of(uint32_t line_addr) const { return line_addr >> set_shift_; }
   LineState* lookup(uint32_t line_addr);
+  // Counts a hit on resident `line` and makes it most recently used.
+  void touch_hit(LineState* line, uint32_t line_addr, const MemRequest& req);
+  // The allocated MSHR for `line_addr`, or null.
+  Mshr* find_mshr(uint32_t line_addr);
   void install(uint32_t line_addr);
   void on_lower_response(uint64_t id, bool was_write);
   void trace_counters(uint64_t cycle);
@@ -143,13 +156,14 @@ class Cache final : public MemPort {
   ResponseHandler handler_;
   std::vector<LineState> lines_;  // [set * ways + way]
   std::vector<Mshr> mshrs_;  // indexed by the fill ids' slot bits
+  SlotMask mshr_live_;    // allocated: waiters queued, fill unsent or in flight
+  SlotMask mshr_unsent_;  // allocated and still needing to send their fill
   Ring<PendingResponse> hit_queue_;   // hit responses in flight
   Ring<MemRequest> writeback_queue_;  // dirty evictions waiting to go down
   uint64_t now_ = 0;
   uint64_t lru_counter_ = 0;
   uint32_t accepted_this_cycle_ = 0;
-  uint32_t mshr_used_ = 0;    // MSHRs with waiters or a fill in flight
-  uint32_t mshr_unsent_ = 0;  // MSHRs still needing to send their fill
+  uint32_t mshr_used_ = 0;  // allocated MSHRs (mshr_live_'s population)
   uint64_t next_lower_id_ = 1;  // fill id sequence (above the MSHR index)
   MemStats stats_;
   std::vector<uint64_t> set_conflicts_;  // evictions per set

@@ -31,9 +31,14 @@ void DramModel::send(const MemRequest& req) {
   ++accepted_this_cycle_[c];
   // Serialization delay: each queued request behind us adds one service
   // slot (1/requests_per_channel cycles each).
+  accepted_any_ = true;
   const uint64_t service = (queues_[c].size() + accepted_this_cycle_[c]) /
                            std::max(1u, config_.requests_per_channel);
-  queues_[c].push_back(Inflight{req, now_ + config_.latency + service});
+  const uint64_t ready = now_ + config_.latency + service;
+  queues_[c].push_back(Inflight{req, ready});
+  // Also while tick() is delivering responses: a request sent from a
+  // response handler must still be seen by the event gate.
+  earliest_ready_ = std::min(earliest_ready_, ready);
   if (req.is_write) {
     ++stats_.writes;
   } else {
@@ -50,7 +55,13 @@ void DramModel::tick(uint64_t cycle) {
     if ((cycle & (trace::kCounterBucketCycles - 1)) == 0) trace_counters(cycle);
   }
   now_ = cycle;
-  for (auto& count : accepted_this_cycle_) count = 0;
+  if (accepted_any_) {
+    for (auto& count : accepted_this_cycle_) count = 0;
+    accepted_any_ = false;
+  }
+  // Nothing matures yet: the common case, since a request waits out the
+  // full access latency.
+  if (earliest_ready_ > now_) return;
   for (uint32_t c = 0; c < config_.channels; ++c) {
     uint32_t served = 0;
     while (!queues_[c].empty() && served < config_.requests_per_channel &&
@@ -64,15 +75,10 @@ void DramModel::tick(uint64_t cycle) {
       profiler_->on_depth_change(c, static_cast<uint32_t>(queues_[c].size()), now_);
     }
   }
-}
-
-uint64_t DramModel::next_event_cycle() const {
-  uint64_t next = kNoEvent;
+  earliest_ready_ = kNoEvent;
   for (const auto& queue : queues_) {
-    if (queue.empty()) continue;
-    next = std::min(next, std::max(queue.front().ready_cycle, now_ + 1));
+    if (!queue.empty()) earliest_ready_ = std::min(earliest_ready_, queue.front().ready_cycle);
   }
-  return next;
 }
 
 void DramModel::trace_counters(uint64_t cycle) {

@@ -4,6 +4,7 @@
 // which is the property the paper calls out when comparing the boards.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -44,7 +45,9 @@ class DramModel final : public MemPort {
   // request matures; kNoEvent when all channels are empty. Queues are
   // served front-gated in FIFO order with nondecreasing ready cycles, so
   // each channel's front holds its earliest event.
-  uint64_t next_event_cycle() const;
+  uint64_t next_event_cycle() const {
+    return earliest_ready_ == kNoEvent ? kNoEvent : std::max(earliest_ready_, now_ + 1);
+  }
 
   const DramConfig& config() const { return config_; }
   const MemStats& stats() const { return stats_; }
@@ -67,6 +70,8 @@ class DramModel final : public MemPort {
     reset_stats();
     for (auto& queue : queues_) queue.clear();
     for (auto& count : accepted_this_cycle_) count = 0;
+    accepted_any_ = false;
+    earliest_ready_ = kNoEvent;
     now_ = 0;
   }
 
@@ -100,6 +105,10 @@ class DramModel final : public MemPort {
   DramConfig config_;
   std::vector<Ring<Inflight>> queues_;  // per channel, queue_depth reserved
   std::vector<uint32_t> accepted_this_cycle_;
+  bool accepted_any_ = false;  // some accepted_this_cycle_ entry is nonzero
+  // Minimum ready cycle over the channel fronts; kNoEvent when every queue
+  // is empty. tick() does nothing else until the clock reaches it.
+  uint64_t earliest_ready_ = kNoEvent;
   uint64_t now_ = 0;
   ResponseHandler handler_;
   MemStats stats_;

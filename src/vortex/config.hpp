@@ -45,11 +45,11 @@ struct Config {
   // into several line fills and exhaust the MSHRs, producing the LSU-stall
   // degradation the paper reports for load-heavy kernels at large configs.
   mem::CacheConfig l1d{.name = "l1d", .size_bytes = 16 * 1024, .ways = 2, .hit_latency = 2,
-                       .mshrs = 6, .ports = 1, .mshr_slots = 8};
+                       .mshrs = 6, .ports = 1};
   mem::CacheConfig l1i{.name = "l1i", .size_bytes = 8 * 1024, .ways = 2, .hit_latency = 1,
-                       .mshrs = 2, .ports = 1, .mshr_slots = 8};
+                       .mshrs = 2, .ports = 1};
   mem::CacheConfig l2{.name = "l2", .size_bytes = 128 * 1024, .ways = 4, .hit_latency = 6,
-                      .mshrs = 16, .ports = 2, .mshr_slots = 8};
+                      .mshrs = 16, .ports = 2};
   mem::DramConfig dram = mem::DramConfig::ddr4();
 
   uint64_t max_cycles = 400'000'000;  // runaway-kernel guard

@@ -80,7 +80,10 @@ Core::Core(const Config& config, uint32_t core_id, mem::MainMemory& gmem, mem::M
       xregs_(config.warps * config.threads * 32, 0),
       fregs_(config.warps * config.threads * 32, 0),
       lsu_queue_(config.lsu_queue_depth),
-      lsu_free_(config.lsu_queue_depth) {
+      lsu_free_(config.lsu_queue_depth),
+      // One fetch per cycle, each maturing after the hit latency.
+      fetch_hits_(config.l1i.hit_latency + 1) {
+  static_assert((1u << kIdSlotBits) == SlotMask::kSlots);
   assert(config_.warps <= kMaxWarps && "warp index must fit the state masks");
   assert(config_.lsu_queue_depth <= (1u << kIdSlotBits) && "LSU slot must fit the id slot byte");
   for (auto& warp : warps_) warp.ibuffer.init(std::max(1u, config_.ibuffer_depth));
@@ -109,19 +112,21 @@ Core::Core(const Config& config, uint32_t core_id, mem::MainMemory& gmem, mem::M
       ++lsu_free_;
     }
   });
-  l1i_.set_response_handler([this](uint64_t id, bool /*w*/) {
-    // O(1): the fetching warp is in the id's low byte; the full id must
-    // match the warp's in-flight fetch (stale responses never do).
-    const uint32_t w = static_cast<uint32_t>(id & kIdSlotMask);
-    Warp& warp = warps_[w];
-    if (!warp.fetch_pending || warp.fetch_id != id) return;  // stale
-    warp.fetch_pending = false;
-    progressed_ = true;
-    if (warp.generation == warp.fetch_generation && warp.active) {
-      warp.ibuffer.push(FetchSlot{*decode_at(warp.fetch_pc), warp.fetch_pc});
-    }
-    sync_warp(w);
-  });
+  l1i_.set_response_handler([this](uint64_t id, bool /*w*/) { on_fetch_response(id); });
+}
+
+void Core::on_fetch_response(uint64_t id) {
+  // O(1): the fetching warp is in the id's low byte; the full id must
+  // match the warp's in-flight fetch (stale responses never do).
+  const uint32_t w = static_cast<uint32_t>(id & kIdSlotMask);
+  Warp& warp = warps_[w];
+  if (!warp.fetch_pending || warp.fetch_id != id) return;  // stale
+  warp.fetch_pending = false;
+  progressed_ = true;
+  if (warp.generation == warp.fetch_generation && warp.active) {
+    warp.ibuffer.push(FetchSlot{*decode_at(warp.fetch_pc), warp.fetch_pc});
+  }
+  sync_warp(w);
 }
 
 void Core::reset(uint32_t entry_pc) {
@@ -132,6 +137,7 @@ void Core::reset(uint32_t entry_pc) {
   completions_min_ready_ = kNoWake;
   for (auto& entry : lsu_queue_) entry = LsuEntry{};
   lsu_free_ = config_.lsu_queue_depth;
+  lsu_unsent_.clear();
   // The runtime rewrites the code region between launches; drop every
   // cached decode (next_mem_id_ is NOT reset, so in-flight responses from a
   // previous run can never match a new request id).
@@ -173,6 +179,7 @@ void Core::hard_reset() {
   // responses to collide with, so the id sequence can restart — giving a
   // reused device the exact request-id stream of a fresh one.
   next_mem_id_ = 1;
+  fetch_hits_.clear();
   l1d_.reset();
   l1i_.reset();
 }
@@ -224,6 +231,12 @@ void Core::barrier_arrive(uint32_t warp_id, uint32_t id, uint32_t count,
 void Core::tick_caches(uint64_t cycle) {
   l1d_.tick(cycle);
   l1i_.tick(cycle);
+  // Where the L1I's own hit queue would deliver them: after the L1 ticks.
+  while (!fetch_hits_.empty() && fetch_hits_.front().ready_cycle <= cycle) {
+    const uint64_t id = fetch_hits_.front().id;
+    fetch_hits_.pop_front();
+    on_fetch_response(id);
+  }
 }
 
 void Core::tick_logic(uint64_t cycle) {
@@ -601,6 +614,7 @@ template <Op op>
     entry.lines_pending.swap(lines);
     entry.outstanding = 0;
     --lsu_free_;
+    lsu_unsent_.set(static_cast<uint32_t>(&entry - lsu_queue_.data()));
     if (entry.has_rd) {
       if (is_float) {
         warp.busy_f |= (1u << in.rd);
@@ -781,14 +795,13 @@ void Core::execute(uint32_t w, const FetchSlot& slot, uint64_t cycle) {
 
 void Core::do_lsu(uint64_t cycle) {
   (void)cycle;
-  if (lsu_free_ == config_.lsu_queue_depth) return;  // no entry valid
   uint32_t sent = 0;
-  for (auto& entry : lsu_queue_) {
-    if (!entry.valid || entry.lines_pending.empty()) continue;
+  // Entries with lines left to send, in queue-slot order.
+  lsu_unsent_.for_each([&](uint32_t slot) {
+    LsuEntry& entry = lsu_queue_[slot];
     // The request id carries the queue slot in its low byte and the entry's
     // allocation token above it, so the L1D response handler resolves the
     // owner in O(1) with a built-in staleness check.
-    const uint64_t slot = static_cast<uint64_t>(&entry - lsu_queue_.data());
     const uint64_t id = (entry.token << kIdSlotBits) | slot;
     while (!entry.lines_pending.empty() && sent < config_.lsu_ports && l1d_.can_accept()) {
       const uint32_t line = entry.lines_pending.back();
@@ -799,12 +812,12 @@ void Core::do_lsu(uint64_t cycle) {
       ++sent;
       progressed_ = true;
     }
-    if (sent >= config_.lsu_ports) break;
-  }
+    if (entry.lines_pending.empty()) lsu_unsent_.reset(slot);
+    return sent >= config_.lsu_ports;
+  });
 }
 
 void Core::do_fetch(uint64_t cycle) {
-  (void)cycle;
   if (fetch_mask_ == 0) return;
   const uint32_t w = first_rr(fetch_mask_, fetch_rr_);
   Warp& warp = warps_[w];
@@ -819,7 +832,14 @@ void Core::do_fetch(uint64_t cycle) {
     warp.fetch_id = id;
     warp.fetch_pc = warp.pc;
     warp.fetch_generation = warp.generation;
-    l1i_.send(mem::MemRequest{.id = id, .addr = warp.pc, .is_write = false, .pc = warp.pc});
+    const mem::MemRequest req{.id = id, .addr = warp.pc, .is_write = false, .pc = warp.pc};
+    // A hit matures after the L1I hit latency, delivered by tick_caches;
+    // a miss goes through the L1I's MSHRs.
+    if (l1i_.read_hit(req)) {
+      fetch_hits_.push_back(FetchHit{cycle + config_.l1i.hit_latency, id});
+    } else {
+      l1i_.send(req);
+    }
   }
   warp.pc += 4;
   fetch_rr_ = w + 1 == config_.warps ? 0 : w + 1;
@@ -835,6 +855,7 @@ void Core::do_fetch(uint64_t cycle) {
 // holds unsent traffic: Cluster::tick).
 uint64_t Core::next_wake_cycle(uint64_t now) const {
   uint64_t wake = std::min(l1d_.next_event_cycle(), l1i_.next_event_cycle());
+  if (!fetch_hits_.empty()) wake = std::min(wake, std::max(fetch_hits_.front().ready_cycle, now + 1));
   if (completions_min_ready_ != kNoWake) {
     // A completion whose ready cycle already passed still needs a tick to
     // retire (do_writeback runs at most once per cycle).

@@ -12,6 +12,11 @@
 //  * fixed-capacity ring ibuffers (no per-warp deque allocation churn);
 //  * in-flight fetch/LSU responses keyed by request id (warp / queue slot
 //    encoded in the low bits) instead of linear side-table scans;
+//  * L1I hits resolved in the core (Cache::read_hit) and delivered from a
+//    core-side FIFO after the hit latency, so only misses take the cache's
+//    request/response path;
+//  * an LSU slot mask, so the LSU stage visits only entries with line
+//    requests left to send;
 //  * per-warp state bitmasks (active, at-barrier, ibuffer non-empty,
 //    fetchable) so issue, fetch, busy() and the occupancy sampler visit only
 //    eligible warps, in round-robin order, without a per-warp modulo;
@@ -70,7 +75,8 @@ class Core {
   // Leaves every warp inactive (busy() == false), like a new core.
   void hard_reset();
 
-  // Ticks the core-internal caches (called by the cluster before logic()).
+  // Ticks the core-internal caches (called by the cluster before logic()),
+  // then delivers the L1I hits that mature this cycle.
   void tick_caches(uint64_t cycle);
   // One cycle of pipeline logic: writeback, issue, LSU drain, fetch.
   void tick_logic(uint64_t cycle);
@@ -234,6 +240,12 @@ class Core {
     uint32_t outstanding = 0;             // responses still expected
   };
 
+  // An L1I hit resolved at fetch, delivered at ready_cycle.
+  struct FetchHit {
+    uint64_t ready_cycle;
+    uint64_t id;  // the fetch's request id
+  };
+
   // Deferred scoreboard release (register values are committed at issue).
   struct Completion {
     uint64_t ready_cycle;
@@ -262,6 +274,8 @@ class Core {
   void do_issue(uint64_t cycle);
   void do_lsu(uint64_t cycle);
   void do_fetch(uint64_t cycle);
+  // A fetch response (L1I hit or miss fill) for request `id`.
+  void on_fetch_response(uint64_t id);
 
   // Decode via the per-core PC -> DecodedInstr cache; an Op::kInvalid entry
   // for an undecodable word. The pointer stays valid until the next
@@ -307,6 +321,10 @@ class Core {
   uint64_t completions_min_ready_ = kNoWake;  // min ready_cycle in completions_
   std::vector<LsuEntry> lsu_queue_;
   uint32_t lsu_free_ = 0;       // entries with valid == false
+  SlotMask lsu_unsent_;         // valid entries with lines_pending left to send
+  // L1I hits in flight, in fetch order. Ready cycles are fetch cycle +
+  // l1i.hit_latency, so they are nondecreasing and the front matures first.
+  mem::Ring<FetchHit> fetch_hits_;
   std::vector<uint32_t> lines_scratch_;  // execute_memory's line list, swapped into entries
   uint64_t next_mem_id_ = 1;    // never reset: ids stay unique across runs
 

@@ -381,6 +381,49 @@ TEST(SleepTest, SuiteAtFullL2ShapeIsExactWithSleepOnAndOff) {
   EXPECT_LT(work[true].core_ticks, work[false].core_ticks);
 }
 
+// In-core L1I hits at a three-cycle hit latency (a core can sleep with
+// fetch hits in flight), and every MSHR file and the LSU queue at the 256
+// slots their constructors accept, so the slot-mask walks reach past the
+// first 64-bit word: the documents must be byte-identical with sleep on
+// and off.
+TEST(SleepTest, SlowL1iAndWidestSlotMasksAreExactWithSleepOnAndOff) {
+  Log::level() = LogLevel::kOff;
+  std::string docs[2];
+  size_t l2_peak_mshrs = 0;
+  for (const bool idle_skip : {false, true}) {
+    suite::RunnerOptions options;
+    options.filter = "^(vecadd|transpose|hybridsort)$";
+    options.run_hls = false;
+    options.capture_profile = true;
+    options.capture_memprof = true;
+    vortex::Config& config = options.vortex_config;
+    config = vortex::Config::with(4, 16, 16);
+    config.idle_skip = idle_skip;
+    config.l1i.hit_latency = 3;
+    config.l1i.mshrs = config.l1d.mshrs = config.l2.mshrs = SlotMask::kSlots;
+    config.lsu_queue_depth = SlotMask::kSlots;
+    auto run = suite::run_all(options);
+    ASSERT_TRUE(run.is_ok()) << run.status().to_string();
+    ASSERT_EQ(run->outcomes.size(), 3u);
+    std::ostringstream os;
+    suite::write_stats_json(os, options, *run);
+    suite::write_profile_json(os, options, *run);
+    suite::write_mem_json(os, options, *run);
+    docs[idle_skip] = os.str();
+    for (const auto& outcome : run->outcomes) {
+      ASSERT_TRUE(outcome.vortex.ok()) << outcome.name;
+      expect_work_invariants(outcome, 4, idle_skip);
+      for (const auto& kernel : outcome.vortex.mem_profiles) {
+        l2_peak_mshrs = std::max(l2_peak_mshrs, kernel.mem.l2.mshr_cycles.size());
+      }
+    }
+  }
+  expect_same_bytes(docs[false], docs[true]);
+  // mshr_cycles[n] counts cycles with n MSHRs in use: the shared L2 held
+  // more than 64 at once.
+  EXPECT_GT(l2_peak_mshrs, 65u);
+}
+
 // ---------------------------------------------------------------------------
 // Decode cache: cold/warm equivalence and invalidation on reset
 // ---------------------------------------------------------------------------

@@ -430,6 +430,203 @@ TEST(BackPressureTest, InterconnectIgnoresTagsOfRecycledRoutes) {
   EXPECT_EQ(got, (std::vector<uint64_t>{10, 11}));
 }
 
+// ---------------------------------------------------------------------------
+// Slot-mask bookkeeping: MSHR allocation, merges and fills, DRAM event gate
+// ---------------------------------------------------------------------------
+
+uint32_t fill_slot(const MemRequest& fill) {
+  return static_cast<uint32_t>(fill.id & ((1u << Cache::kFillSlotBits) - 1));
+}
+
+// A lower level that accepts `left` more requests, then refuses.
+struct MeteredPort final : MemPort {
+  bool can_accept() const override { return left > 0; }
+  bool full() const override { return false; }
+  void send(const MemRequest& req) override {
+    --left;
+    sent.push_back(req);
+  }
+  void set_response_handler(ResponseHandler h) override { handler = std::move(h); }
+  void tick(uint64_t /*cycle*/) override {}
+  void respond(uint64_t id) { handler(id, false); }
+
+  uint32_t left = 0;
+  std::vector<MemRequest> sent;
+  ResponseHandler handler;
+};
+
+// Frees MSHRs out of order, then reallocates them: each miss takes the
+// lowest free slot, and unsent fills go down in slot order, not in
+// allocation order. With the lower level taking one request per cycle,
+// the fill walk stops at the refusal and resumes at the next unsent slot.
+TEST(MshrBookkeepingTest, LowestFreeSlotAndFillsInSlotOrder) {
+  CacheConfig config;
+  config.mshrs = 4;
+  config.ports = 8;
+  MeteredPort lower;
+  Cache cache(config, &lower);
+  std::vector<uint64_t> responses;
+  cache.set_response_handler([&](uint64_t id, bool) { responses.push_back(id); });
+  cache.tick(0);
+  for (uint32_t i = 0; i < 4; ++i) cache.send(MemRequest{.id = i, .addr = 0x1000 + 16 * i});
+  EXPECT_TRUE(cache.full());
+  lower.left = 4;
+  cache.tick(1);
+  ASSERT_EQ(lower.sent.size(), 4u);
+  for (uint32_t i = 0; i < 4; ++i) EXPECT_EQ(fill_slot(lower.sent[i]), i);
+
+  lower.respond(lower.sent[3].id);                   // frees slot 3
+  cache.send(MemRequest{.id = 10, .addr = 0x2000});  // takes slot 3
+  lower.respond(lower.sent[2].id);                   // frees slot 2
+  lower.respond(lower.sent[0].id);                   // frees slot 0
+  cache.send(MemRequest{.id = 11, .addr = 0x3000});  // takes slot 0
+  cache.send(MemRequest{.id = 12, .addr = 0x4000});  // takes slot 2
+  EXPECT_EQ(responses, (std::vector<uint64_t>{3, 2, 0}));
+  EXPECT_TRUE(cache.full());
+
+  const uint32_t want_addr[3] = {0x3000, 0x4000, 0x2000};
+  const uint32_t want_slot[3] = {0, 2, 3};
+  for (uint32_t i = 0; i < 3; ++i) {
+    lower.left = 1;
+    cache.tick(2 + i);
+    ASSERT_EQ(lower.sent.size(), 5u + i);
+    EXPECT_EQ(lower.sent.back().addr, want_addr[i]);
+    EXPECT_EQ(fill_slot(lower.sent.back()), want_slot[i]);
+  }
+  EXPECT_FALSE(cache.has_unsent());
+  for (size_t i = 4; i < lower.sent.size(); ++i) lower.respond(lower.sent[i].id);
+  EXPECT_EQ(responses, (std::vector<uint64_t>{3, 2, 0, 11, 12, 10}));
+  lower.respond(lower.sent[1].id);
+  EXPECT_FALSE(cache.full());
+  cache.tick(5);
+  EXPECT_EQ(cache.next_event_cycle(), kNoEvent);
+}
+
+// A freed MSHR keeps its old line address; a later miss on that line must
+// allocate afresh, not merge into the dead slot. Merges hit live MSHRs only.
+TEST(MshrBookkeepingTest, MergesHitLiveMshrsOnly) {
+  CacheConfig config;
+  config.mshrs = 2;
+  config.ports = 8;
+  ScriptedPort lower;
+  Cache cache(config, &lower);
+  std::vector<uint64_t> responses;
+  cache.set_response_handler([&](uint64_t id, bool) { responses.push_back(id); });
+  cache.tick(0);
+  cache.send(MemRequest{.id = 1, .addr = 0x1000});
+  cache.send(MemRequest{.id = 2, .addr = 0x1004});  // same line: merges
+  EXPECT_EQ(cache.stats().mshr_merges, 1u);
+  cache.tick(1);
+  ASSERT_EQ(lower.sent.size(), 1u);
+  lower.respond(lower.sent[0].id);
+  EXPECT_EQ(responses, (std::vector<uint64_t>{1, 2}));
+
+  cache.flush();  // the line is gone, its freed MSHR still names it
+  cache.tick(2);
+  cache.send(MemRequest{.id = 3, .addr = 0x1008});
+  EXPECT_EQ(cache.stats().mshr_merges, 1u);
+  EXPECT_EQ(cache.stats().misses, 3u);
+  cache.tick(3);
+  ASSERT_EQ(lower.sent.size(), 2u);  // a new fill, not a merge
+  EXPECT_EQ(lower.sent[1].addr, 0x1000u);
+  cache.send(MemRequest{.id = 4, .addr = 0x100C});  // live again: merges
+  EXPECT_EQ(cache.stats().mshr_merges, 2u);
+  lower.respond(lower.sent[1].id);
+  EXPECT_EQ(responses, (std::vector<uint64_t>{1, 2, 3, 4}));
+}
+
+// read_hit() is send()'s hit path without the queued response: the same
+// stats, the same LRU order (seen through the next eviction) and the same
+// memory profile. On a miss it changes nothing.
+TEST(ReadHitTest, MatchesASendHitAndLeavesMissesAlone) {
+  CacheConfig config;
+  config.size_bytes = 32;  // one set of two ways
+  config.ways = 2;
+  config.ports = 1;
+  const auto run = [&](bool use_read_hit) {
+    Harness h(config);
+    h.cache.enable_memprof();
+    h.send(1, 0x100);
+    h.send(2, 0x200);
+    h.drain_until(2);
+    h.tick();
+    EXPECT_TRUE(h.cache.can_accept());
+    const MemRequest hit{.id = 3, .addr = 0x104, .pc = 0x80};
+    if (use_read_hit) {
+      EXPECT_TRUE(h.cache.read_hit(hit));
+      // The hit took this cycle's only port, as a send() would.
+      EXPECT_FALSE(h.cache.can_accept());
+    } else {
+      h.cache.send(hit);
+    }
+    h.tick(4);  // a send() hit has matured by now
+    EXPECT_EQ(h.responses.size(), use_read_hit ? 2u : 3u);
+    const MemStats before = h.cache.stats();
+    EXPECT_FALSE(h.cache.read_hit(MemRequest{.id = 4, .addr = 0x300}));
+    EXPECT_TRUE(h.cache.stats() == before);
+    EXPECT_TRUE(h.cache.can_accept());
+    EXPECT_FALSE(h.cache.has_unsent());
+    // 0x100 was touched last, so the miss on 0x300 evicts 0x200.
+    h.send(5, 0x300);
+    h.drain_until(use_read_hit ? 3 : 4);
+    h.tick(4);
+    h.send(6, 0x100);
+    h.drain_until(use_read_hit ? 4 : 5);
+    return std::pair{h.cache.stats(), h.cache.memprof_snapshot(h.cycle)};
+  };
+  const auto [send_stats, send_prof] = run(false);
+  const auto [hit_stats, hit_prof] = run(true);
+  EXPECT_TRUE(send_stats == hit_stats);
+  EXPECT_EQ(hit_stats.hits, 2u);  // the probe and the final 0x100
+  EXPECT_EQ(hit_stats.evictions, 1u);
+  EXPECT_EQ(send_prof.accesses, hit_prof.accesses);
+  EXPECT_EQ(send_prof.misses, hit_prof.misses);
+  EXPECT_EQ(send_prof.cold, hit_prof.cold);
+  EXPECT_TRUE(send_prof.classes == hit_prof.classes);
+  EXPECT_EQ(send_prof.reuse, hit_prof.reuse);
+  EXPECT_EQ(send_prof.by_tag, hit_prof.by_tag);
+  EXPECT_EQ(send_prof.mshr_cycles, hit_prof.mshr_cycles);
+}
+
+// The event-gated tick on a multi-channel DRAM: requests sent after a run
+// of idle ticks mature on the cycle the latency and per-channel queueing
+// give, next_event_cycle names the earliest of them, and a cycle's
+// acceptance counts do not leak into the next cycle's service delays.
+TEST(DramTest, EventGateKeepsMaturityAfterIdleTicks) {
+  DramModel dram(DramConfig::hbm2());
+  const uint32_t latency = DramConfig::hbm2().latency;
+  std::vector<std::pair<uint64_t, uint64_t>> done;  // (id, cycle)
+  uint64_t cycle = 0;
+  dram.set_response_handler([&](uint64_t id, bool) { done.emplace_back(id, cycle); });
+  for (; cycle < 50; ++cycle) dram.tick(cycle);
+  EXPECT_EQ(dram.next_event_cycle(), kNoEvent);
+  const uint64_t t0 = cycle - 1;  // last ticked cycle
+  // Channel = line index % 8: lines 0 and 8 share channel 0, line 3 is alone.
+  dram.send(MemRequest{.id = 1, .addr = 0 * kLineBytes});
+  dram.send(MemRequest{.id = 2, .addr = 8 * kLineBytes});
+  dram.send(MemRequest{.id = 3, .addr = 3 * kLineBytes});
+  // Service delay: queued ahead + accepted this cycle, one per cycle.
+  EXPECT_EQ(dram.next_event_cycle(), t0 + latency + 1);
+  dram.tick(cycle++);
+  dram.send(MemRequest{.id = 4, .addr = 16 * kLineBytes});  // channel 0, 2 queued
+  const uint64_t t1 = cycle - 1;
+  EXPECT_EQ(dram.next_event_cycle(), t0 + latency + 1);
+  while (done.size() < 4 && cycle < 1000) {
+    const uint64_t predicted = dram.next_event_cycle();
+    const size_t before = done.size();
+    dram.tick(cycle);
+    if (done.size() > before) {
+      EXPECT_EQ(cycle, predicted);
+    }
+    ++cycle;
+  }
+  const std::vector<std::pair<uint64_t, uint64_t>> expected = {
+      {1, t0 + latency + 1}, {3, t0 + latency + 1}, {2, t0 + latency + 3},
+      {4, t1 + latency + 3}};
+  EXPECT_EQ(done, expected);
+  EXPECT_EQ(dram.next_event_cycle(), kNoEvent);
+}
+
 TEST(RingTest, WrapAndGrowthKeepFifoOrder) {
   Ring<uint32_t> ring(4);
   EXPECT_EQ(ring.capacity(), 4u);
