@@ -34,6 +34,14 @@ void Cache::flush() {
   for (auto& line : lines_) line = LineState{};
 }
 
+void Cache::drain_hits() {
+  while (!hit_queue_.empty()) {
+    const PendingResponse resp = hit_queue_.front();
+    hit_queue_.pop_front();
+    if (handler_) handler_(resp.req.id, resp.req.is_write);
+  }
+}
+
 void Cache::reset() {
   flush();
   reset_stats();

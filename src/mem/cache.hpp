@@ -103,6 +103,10 @@ class Cache final : public MemPort {
 
   // Invalidates all lines (kernel-launch boundary).
   void flush();
+  // Delivers every queued hit response now, in FIFO order (kernel-launch
+  // boundary: their ready cycles belong to the clock of the launch that
+  // ended).
+  void drain_hits();
 
   // Full return to construction-time state: flush() + reset_stats() plus
   // everything the per-launch path leaves behind — pending hit responses,

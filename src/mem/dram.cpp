@@ -81,6 +81,17 @@ void DramModel::tick(uint64_t cycle) {
   }
 }
 
+void DramModel::drain() {
+  for (auto& queue : queues_) {
+    while (!queue.empty()) {
+      const Inflight entry = queue.front();
+      queue.pop_front();
+      if (handler_) handler_(entry.req.id, entry.req.is_write);
+    }
+  }
+  earliest_ready_ = kNoEvent;
+}
+
 void DramModel::trace_counters(uint64_t cycle) {
   trace::Sink* sink = trace::current();
   if (sink == nullptr) return;

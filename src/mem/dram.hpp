@@ -63,6 +63,11 @@ class DramModel final : public MemPort {
     if (profiler_) profiler_->reset();
   }
 
+  // Delivers every queued request's response now, channel by channel in
+  // FIFO order (kernel-launch boundary: their ready cycles belong to the
+  // clock of the launch that ended).
+  void drain();
+
   // Full return to construction-time state: reset_stats() plus the
   // per-channel request queues, acceptance counters and the internal clock
   // (the device-reuse contract, DESIGN.md "Device lifecycle").

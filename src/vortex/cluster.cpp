@@ -73,6 +73,14 @@ void Cluster::hard_reset() {
 }
 
 void Cluster::reset(uint32_t entry_pc) {
+  // The clock restarts at 0, so no response may stay queued with a ready
+  // cycle of the launch that ended: the queues drain from the front, and
+  // one such entry would hold back every later response until the new
+  // clock reached it. Deliver them now, bottom-up: writeback acks reach L1s
+  // that ignore them, fills free their MSHRs, and every delivery frees its
+  // interconnect route. Each core drops its own L1 hit responses.
+  dram_.drain();
+  l2_.drain_hits();
   cycle_ = 0;
   asleep_ = 0;
   set_all_awake(awake_, num_cores());

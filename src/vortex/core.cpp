@@ -157,6 +157,12 @@ void Core::reset(uint32_t entry_pc) {
   profile_.enabled = config_.profile;
   profile_.occupancy_interval = config_.profile_interval;
   local_mem_.clear();
+  // No response of the launch that ended may wait for a ready cycle of its
+  // clock (see Cluster::reset); every warp was reset above, so they are
+  // all stale.
+  fetch_hits_.clear();
+  l1d_.drain_hits();
+  l1i_.drain_hits();
   l1d_.flush();
   l1i_.flush();
   l1d_.reset_stats();
@@ -179,7 +185,6 @@ void Core::hard_reset() {
   // responses to collide with, so the id sequence can restart — giving a
   // reused device the exact request-id stream of a fresh one.
   next_mem_id_ = 1;
-  fetch_hits_.clear();
   l1d_.reset();
   l1i_.reset();
 }

@@ -64,7 +64,8 @@ class Core {
   // Resets all warps; warp 0 starts at `entry_pc` with one active thread
   // (the Vortex boot convention: the startup stub then TMCs/WSPAWNs).
   // Also invalidates the decode cache (the kernel-launch boundary: the
-  // runtime rewrites the code region before each run).
+  // runtime rewrites the code region before each run) and drops the L1
+  // hit responses still queued.
   void reset(uint32_t entry_pc);
 
   // Full return to construction-time state (device-reuse contract; DESIGN.md

@@ -353,6 +353,39 @@ TEST(BackPressureTest, FullLowerLevelIsNoRetryEvent) {
   EXPECT_EQ(h.l1_responses, std::vector<uint64_t>{1});
 }
 
+// The launch-boundary drain (Cluster::reset): responses still queued in the
+// DRAM or in a cache's hit queue are delivered at once, whatever their
+// ready cycle. A fill frees its MSHR at every level on the way up, and no
+// event is left behind.
+TEST(BoundaryDrainTest, QueuedResponsesAreDeliveredAndFillsFreeTheirMshrs) {
+  CacheConfig l2_config;
+  l2_config.name = "l2";
+  TwoLevel h(l2_config);
+  h.tick();
+  h.l1.send(MemRequest{.id = 1, .addr = 0x1000});  // misses in the L1 and the L2
+  h.tick();  // the L1's fill reaches the L2
+  h.tick();  // the L2's fill reaches the DRAM
+  ASSERT_NE(h.dram.next_event_cycle(), kNoEvent);
+  ASSERT_TRUE(h.l1_responses.empty());
+  h.dram.drain();
+  EXPECT_EQ(h.l1_responses, std::vector<uint64_t>{1});
+  EXPECT_EQ(h.dram.next_event_cycle(), kNoEvent);
+  EXPECT_EQ(h.l2.next_event_cycle(), kNoEvent);
+  EXPECT_EQ(h.l1.next_event_cycle(), kNoEvent);
+
+  h.l1.flush();  // the line stays resident in the L2 only
+  h.tick();
+  h.l1.send(MemRequest{.id = 2, .addr = 0x1000});
+  h.tick();  // the L1's fill hits in the L2 and waits in its hit queue
+  ASSERT_NE(h.l2.next_event_cycle(), kNoEvent);
+  h.l2.drain_hits();
+  EXPECT_EQ(h.l1_responses, (std::vector<uint64_t>{1, 2}));
+  EXPECT_EQ(h.l2.next_event_cycle(), kNoEvent);
+  EXPECT_EQ(h.l1.next_event_cycle(), kNoEvent);
+  EXPECT_FALSE(h.l1.full());
+  EXPECT_FALSE(h.l2.full());
+}
+
 TEST(BackPressureTest, PortLimitedLowerLevelRetriesNextCycle) {
   CacheConfig l2_config;
   l2_config.name = "l2";
