@@ -37,14 +37,17 @@ constexpr uint64_t align_up(uint64_t v, uint64_t a) {
   return (v + a - 1) & ~(a - 1);
 }
 
-// A set of slot indices below SlotMask::kSlots, one bit per slot. The MSHR
-// file and the LSU queue keep one per kind of pending work, so their
-// per-cycle loops visit only the slots that hold it, in ascending slot
-// order. Both cap their slot count at kSlots: their request ids carry the
-// slot in one byte.
+// A set of slot indices below a capacity of at most SlotMask::kSlots, one
+// bit per slot. The MSHR file and the LSU queue keep one per kind of
+// pending work, so their per-cycle loops visit only the slots that hold
+// it, in ascending slot order. Both cap their slot count at kSlots: their
+// request ids carry the slot in one byte.
 class SlotMask {
  public:
   static constexpr uint32_t kSlots = 256;
+
+  // Walks visit only the 64-bit words that slots [0, capacity) occupy.
+  explicit SlotMask(uint32_t capacity) : words_in_use_((capacity + 63) / 64) {}
 
   void set(uint32_t slot) { words_[slot >> 6] |= 1ull << (slot & 63); }
   void reset(uint32_t slot) { words_[slot >> 6] &= ~(1ull << (slot & 63)); }
@@ -52,12 +55,12 @@ class SlotMask {
   bool any() const { return (words_[0] | words_[1] | words_[2] | words_[3]) != 0; }
   void clear() { words_[0] = words_[1] = words_[2] = words_[3] = 0; }
 
-  // Lowest slot not in the set; kSlots when every slot is.
+  // Lowest slot not in the set; the capacity when every slot is.
   uint32_t first_clear() const {
-    for (uint32_t w = 0; w < 4; ++w) {
+    for (uint32_t w = 0; w < words_in_use_; ++w) {
       if (~words_[w] != 0) return w * 64 + static_cast<uint32_t>(std::countr_one(words_[w]));
     }
-    return kSlots;
+    return words_in_use_ * 64;
   }
 
   // Calls fn(slot) for every slot in the set, in ascending order, until fn
@@ -65,7 +68,7 @@ class SlotMask {
   // given.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (uint32_t w = 0; w < 4; ++w) {
+    for (uint32_t w = 0; w < words_in_use_; ++w) {
       for (uint64_t m = words_[w]; m != 0; m &= m - 1) {
         if (fn(w * 64 + static_cast<uint32_t>(std::countr_zero(m)))) return;
       }
@@ -74,6 +77,7 @@ class SlotMask {
 
  private:
   uint64_t words_[4] = {0, 0, 0, 0};
+  uint32_t words_in_use_;
 };
 
 // Bit-casts between float and its IEEE-754 binary32 representation; the

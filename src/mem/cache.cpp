@@ -14,6 +14,8 @@ Cache::Cache(CacheConfig config, MemPort* lower)
       // At most `ports` hits are accepted per cycle and each matures after
       // hit_latency; a writeback follows a fill, so MSHR count is a
       // natural starting size (the ring grows if the lower level stalls).
+      mshr_live_(config_.mshrs),
+      mshr_unsent_(config_.mshrs),
       hit_queue_(config_.ports * (config_.hit_latency + 1)),
       writeback_queue_(config_.mshrs),
       trace_name_(config_.name) {

@@ -81,6 +81,7 @@ Core::Core(const Config& config, uint32_t core_id, mem::MainMemory& gmem, mem::M
       fregs_(config.warps * config.threads * 32, 0),
       lsu_queue_(config.lsu_queue_depth),
       lsu_free_(config.lsu_queue_depth),
+      lsu_unsent_(config.lsu_queue_depth),
       // One fetch per cycle, each maturing after the hit latency.
       fetch_hits_(config.l1i.hit_latency + 1) {
   static_assert((1u << kIdSlotBits) == SlotMask::kSlots);

@@ -2,6 +2,8 @@
 // deterministic PRNG the workload generators rely on.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/bits.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
@@ -68,6 +70,46 @@ TEST(BitsTest, FloatBitcastRoundTrip) {
     EXPECT_EQ(u2f(f2u(f)), f);
   }
   EXPECT_EQ(f2u(1.0f), 0x3F800000u);
+}
+
+TEST(SlotMaskTest, WalksFirstClearAndCapacityAcrossWords) {
+  SlotMask mask(SlotMask::kSlots);
+  EXPECT_FALSE(mask.any());
+  EXPECT_EQ(mask.first_clear(), 0u);
+  for (const uint32_t slot : {200u, 3u, 64u, 255u, 63u}) mask.set(slot);
+  EXPECT_TRUE(mask.any());
+  EXPECT_TRUE(mask.test(64));
+  EXPECT_FALSE(mask.test(65));
+  std::vector<uint32_t> walked;
+  mask.for_each([&](uint32_t slot) {
+    walked.push_back(slot);
+    mask.reset(slot);  // clearing the visited slot is allowed
+    return false;
+  });
+  EXPECT_EQ(walked, (std::vector<uint32_t>{3, 63, 64, 200, 255}));
+  EXPECT_FALSE(mask.any());
+
+  for (uint32_t slot = 0; slot < 130; ++slot) mask.set(slot);
+  EXPECT_EQ(mask.first_clear(), 130u);
+  mask.reset(70);
+  EXPECT_EQ(mask.first_clear(), 70u);
+  walked.clear();
+  mask.for_each([&](uint32_t slot) {
+    walked.push_back(slot);
+    return slot >= 65;  // stops the walk
+  });
+  EXPECT_EQ(walked.size(), 66u);
+  EXPECT_EQ(walked.back(), 65u);
+  mask.clear();
+  EXPECT_FALSE(mask.any());
+
+  // Full masks report their capacity.
+  SlotMask small(6);
+  for (uint32_t slot = 0; slot < 6; ++slot) small.set(slot);
+  EXPECT_EQ(small.first_clear(), 6u);
+  SlotMask full(64);
+  for (uint32_t slot = 0; slot < 64; ++slot) full.set(slot);
+  EXPECT_EQ(full.first_clear(), 64u);
 }
 
 TEST(RngTest, Deterministic) {
